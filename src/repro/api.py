@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import queue as _queue
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import (
@@ -73,6 +72,8 @@ from .netlist import (
     load_netlist,
     make_circuit,
 )
+from .netlist.bookshelf import bookshelf_key
+from .netlist.memo import DESIGNS, content_key
 
 #: Round-trip schema tag for :meth:`FlowResult.to_dict`.
 FLOW_SCHEMA = "repro-flow/1"
@@ -97,44 +98,48 @@ def region_for_netlist(
     return PlacementRegion.standard_cell(width, height, ROW_HEIGHT)
 
 
-#: Parsed-netlist memo for *generated* string sources (bench sizes, suite
-#: circuits).  Generation is deterministic in ``(name, scale)`` and the
-#: placer treats netlists as read-only, so repeated jobs on the same
-#: source — the service's common case — share one parsed object per
-#: process instead of regenerating it per job.  File sources are never
-#: memoized (their content can change under us).
-_RESOLVE_CACHE_SIZE = 8
-_resolve_cache: "OrderedDict[Tuple[str, float], Tuple[Netlist, PlacementRegion]]" = OrderedDict()
-_resolve_cache_lock = threading.Lock()
+def _memo_bookshelf(path: Path) -> Tuple[Netlist, PlacementRegion]:
+    """A Bookshelf set through the design memo.
+
+    A miss calls :func:`load_bookshelf` and keeps its netlist and region;
+    the initial placement it also returns is mutable and is dropped.  A
+    set rewritten while it was parsed is returned but not memoized.
+    """
+    key = bookshelf_key(path)
+    hit = DESIGNS.get(key)
+    if hit is not None:
+        return hit
+    netlist, file_region, _placement = load_bookshelf(path)
+    if bookshelf_key(path) != key:
+        return netlist, file_region
+    return DESIGNS.put(key, netlist, file_region)
 
 
-def _cached_generated(name: str, scale: float):
-    """The memoized ``(netlist, region)`` for a generated source, or
-    ``None`` when *name* is not a known generator circuit."""
-    key = (name, float(scale))
-    with _resolve_cache_lock:
-        hit = _resolve_cache.get(key)
-        if hit is not None:
-            _resolve_cache.move_to_end(key)
-            return hit
+def _memo_generated(
+    name: str, scale: float
+) -> Optional[Tuple[Netlist, PlacementRegion]]:
+    """The ``(netlist, region)`` of a bench size or suite circuit through
+    the design memo, or ``None`` when *name* is neither."""
+    from .netlist import generate_circuit
+    from .netlist.benchmarks import PROFILES_BY_NAME
     from .netlist.generator import BENCH_SIZES, bench_spec
 
-    if name in BENCH_SIZES:
-        from .netlist import generate_circuit
+    if name not in BENCH_SIZES and name not in PROFILES_BY_NAME:
+        return None
 
-        circuit = generate_circuit(bench_spec(name))
-    else:
-        from .netlist.benchmarks import PROFILES_BY_NAME
+    def build():
+        # Bench sizes first: they are the canonical generator circuits
+        # (tiny … huge) the regression harness and the batch smoke use.
+        if name in BENCH_SIZES:
+            circuit = generate_circuit(bench_spec(name))
+        else:
+            circuit = make_circuit(name, scale=scale)
+        return circuit.netlist, circuit.region
 
-        if name not in PROFILES_BY_NAME:
-            return None
-        circuit = make_circuit(name, scale=scale)
-    entry = (circuit.netlist, circuit.region)
-    with _resolve_cache_lock:
-        _resolve_cache[key] = entry
-        while len(_resolve_cache) > _RESOLVE_CACHE_SIZE:
-            _resolve_cache.popitem(last=False)
-    return entry
+    key = content_key(
+        b"generated", name.encode("utf-8"), repr(float(scale)).encode("utf-8")
+    )
+    return DESIGNS.load(key, build)
 
 
 def resolve_source(
@@ -151,9 +156,16 @@ def resolve_source(
     path loads as a repro netlist file; otherwise the string is looked up as
     a bench size (``tiny``/``small``/``medium``) and then as a suite circuit
     name (``fract`` … ``avq.large``, sized by *scale*).  An explicit
-    ``region=`` always wins; without one, file-based netlists get a derived
-    region at *utilization*.  Generated sources (bench sizes and suite
-    names) are memoized per process — cross-job parsed-netlist reuse.
+    ``region=`` always wins; without one, ``.netlist`` files and in-memory
+    netlists get a derived region at *utilization*.
+
+    File and generated sources go through the process-wide design memo
+    (:mod:`repro.netlist.memo`), keyed by the SHA-256 of the bytes read
+    (for generated sources: of the name and *scale*).  So each distinct
+    design is parsed or generated at most once per process while it is
+    in use, and a file rewritten in place is read anew.  The memo keeps
+    recently used designs alive up to a total-cell bound; a design larger
+    than that lives as long as its users do.
     """
     if isinstance(source, GeneratedCircuit):
         netlist = source.netlist
@@ -174,15 +186,13 @@ def resolve_source(
         path = Path(source)
         if path.exists() and path.is_file():
             if path.suffix == ".aux":
-                netlist, file_region, _ = load_bookshelf(path)
+                netlist, file_region = _memo_bookshelf(path)
                 return netlist, region or file_region, netlist.name
             netlist = load_netlist(path)
             resolved = region or region_for_netlist(netlist, utilization)
             return netlist, resolved, netlist.name
         name = str(source)
-        # Bench sizes first: they are the canonical generator circuits
-        # (tiny … huge) the regression harness and the batch smoke use.
-        generated = _cached_generated(name, scale)
+        generated = _memo_generated(name, scale)
         if generated is not None:
             netlist, gen_region = generated
             return netlist, region or gen_region, name
@@ -203,7 +213,9 @@ class FlowResult:
     Frozen and picklable by construction — coordinates, scalars and the
     config's dict form only, no solver or telemetry handles — so results
     cross process boundaries cleanly (the batch engine ships them back from
-    worker processes).
+    worker processes).  The placements' netlist pickles as its canonical
+    text, and a process that still holds the design gets that very
+    netlist back (see :mod:`repro.netlist.memo`).
     """
 
     #: Resolved design name (netlist name or source string).

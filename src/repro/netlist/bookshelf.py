@@ -18,12 +18,14 @@ structure and geometry but resets those attributes to defaults.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..geometry import PlacementRegion, Rect, Row
 from .builder import NetlistBuilder
 from .cell import CellKind
+from .memo import content_key
 from .netlist import Netlist
 from .placement import Placement
 
@@ -122,22 +124,50 @@ def _write_scl(region: PlacementRegion, path: Path) -> None:
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
+def _component_paths(aux_path: Path, aux_text: str) -> Dict[str, Path]:
+    """The ``.nodes``/``.nets``/``.pl``/``.scl`` files an .aux names."""
+    tokens = aux_text.split(":")
+    if len(tokens) < 2:
+        raise ValueError(f"malformed aux file {aux_path}")
+    directory = aux_path.parent
+    by_ext: Dict[str, Path] = {}
+    for name in tokens[1].split():
+        by_ext[Path(name).suffix] = directory / name
+    for ext in (".nodes", ".nets", ".pl", ".scl"):
+        if ext not in by_ext:
+            raise ValueError(f"aux file missing a {ext} entry")
+    return by_ext
+
+
+def bookshelf_key(aux_path: PathLike) -> str:
+    """Design-memo key of a Bookshelf set: a SHA-256 over the bytes of the
+    .aux file and the SHA-256 of each of the four files it names (see
+    :func:`repro.netlist.memo.content_key`)."""
+    aux_path = Path(aux_path)
+    aux_bytes = aux_path.read_bytes()
+    parts = [b"bookshelf", aux_bytes]
+    components = _component_paths(aux_path, aux_bytes.decode("utf-8"))
+    for ext, path in sorted(components.items()):
+        parts += [ext.encode("utf-8"), _file_sha256(path)]
+    return content_key(*parts)
+
+
+def _file_sha256(path: Path) -> bytes:
+    # In chunks: the files of a 100k-cell set hold about 11 MB, ten times
+    # that at 1M cells, and the key is taken twice per parse.
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
 def load_bookshelf(
     aux_path: PathLike,
 ) -> Tuple[Netlist, PlacementRegion, Placement]:
     """Load a Bookshelf design from its .aux file."""
     aux_path = Path(aux_path)
-    tokens = aux_path.read_text(encoding="utf-8").split(":")
-    if len(tokens) < 2:
-        raise ValueError(f"malformed aux file {aux_path}")
-    files = tokens[1].split()
-    directory = aux_path.parent
-    by_ext: Dict[str, Path] = {}
-    for name in files:
-        by_ext[Path(name).suffix] = directory / name
-    for ext in (".nodes", ".nets", ".pl", ".scl"):
-        if ext not in by_ext:
-            raise ValueError(f"aux file missing a {ext} entry")
+    by_ext = _component_paths(aux_path, aux_path.read_text(encoding="utf-8"))
 
     sizes, fixed_names = _read_nodes(by_ext[".nodes"])
     positions, pl_fixed = _read_pl(by_ext[".pl"], sizes)

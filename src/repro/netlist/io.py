@@ -11,16 +11,25 @@ Format::
     cell <name> <width> <height> <kind> <movable|fixed> <x|-> <y|-> \
         <delay> <input_cap> <power> <is_register>
     net <name> <weight> <cell>:<dir>:<dx>:<dy> ...
+
+The format is lossless or loud: :func:`dump_netlist` writes every cell
+attribute, net weight and pin exactly (floats as ``repr``), and raises
+``ValueError`` for a name it cannot carry.  The header keeps the whole
+design name, spaces included.  Because of that, the text written for a
+netlist is its *canonical text*: a netlist pickles as it, and parsing it
+gives back an equal netlist.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from pathlib import Path
-from typing import List, TextIO, Union
+from typing import List, Sequence, TextIO, Tuple, Union
 
 from .builder import NetlistBuilder
 from .cell import Cell, CellKind
+from .memo import DESIGNS, content_key
 from .net import PinDirection
 from .netlist import Netlist
 from .placement import Placement
@@ -31,14 +40,42 @@ PLACEMENT_MAGIC = "# repro placement v1"
 PathLike = Union[str, Path]
 
 
+_WHITESPACE = re.compile(r"\s")
+
+
 def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
+def _check_names(what: str, names: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless every name is one non-empty token."""
+    if all(names) and not _WHITESPACE.search("".join(names)):
+        return
+    bad = next(n for n in names if not n or _WHITESPACE.search(n))
+    raise ValueError(
+        f"{what} name {bad!r} cannot be written in the repro netlist "
+        "format: names must be non-empty and free of whitespace"
+    )
+
+
 def dump_netlist(netlist: Netlist, stream: TextIO) -> None:
-    """Write the netlist to *stream* in the repro text format."""
+    """Write the netlist to *stream* in the repro text format.
+
+    Raises ``ValueError`` for names the format cannot carry: an empty
+    name, a cell or net name containing whitespace, or a design name with
+    a line break or leading/trailing whitespace.
+    """
+    name = netlist.name
+    if not name or name != name.strip() or "\n" in name or "\r" in name:
+        raise ValueError(
+            f"netlist name {name!r} cannot be written in the repro netlist "
+            "format: it must be non-empty, on one line, and not start or "
+            "end with whitespace"
+        )
+    _check_names("cell", [cell.name for cell in netlist.cells])
+    _check_names("net", [net.name for net in netlist.nets])
     stream.write(MAGIC + "\n")
-    stream.write(f"netlist {netlist.name}\n")
+    stream.write(f"netlist {name}\n")
     for cell in netlist.cells:
         fixed = "fixed" if cell.fixed else "movable"
         x = _fmt_float(cell.x) if cell.x is not None else "-"
@@ -60,8 +97,7 @@ def dump_netlist(netlist: Netlist, stream: TextIO) -> None:
 
 def save_netlist(netlist: Netlist, path: PathLike) -> None:
     """Write the netlist to a file in the repro text format."""
-    with open(path, "w", encoding="utf-8") as f:
-        dump_netlist(netlist, f)
+    Path(path).write_text(netlist_to_string(netlist), encoding="utf-8")
 
 
 def parse_netlist(stream: TextIO) -> Netlist:
@@ -78,7 +114,8 @@ def parse_netlist(stream: TextIO) -> Netlist:
         kind = tokens[0]
         try:
             if kind == "netlist":
-                builder = NetlistBuilder(tokens[1])
+                # The rest of the line: a design name may hold spaces.
+                builder = NetlistBuilder(line.split(None, 1)[1])
             elif kind == "cell":
                 _parse_cell(builder, tokens)
             elif kind == "net":
@@ -138,21 +175,71 @@ def _parse_net(builder: NetlistBuilder, tokens: List[str]) -> None:
 
 
 def load_netlist(path: PathLike) -> Netlist:
-    """Load a netlist from a repro-format text file."""
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_netlist(f)
+    """Load a netlist from a repro-format text file.
+
+    Goes through the design memo like :func:`netlist_from_string`: the
+    same file content returns the same netlist while it is in use.
+    """
+    return netlist_from_string(Path(path).read_bytes().decode("utf-8"))
+
+
+def _text_key(text: str) -> str:
+    return content_key(b"netlist", text.encode("utf-8"))
+
+
+def _canonical(netlist: Netlist) -> Tuple[str, str]:
+    """``(text, memo key)`` of *netlist*, computed once per object."""
+    if netlist._canonical is None:
+        buf = io.StringIO()
+        dump_netlist(netlist, buf)
+        text = buf.getvalue()
+        netlist._canonical = (text, _text_key(text))
+    return netlist._canonical
 
 
 def netlist_to_string(netlist: Netlist) -> str:
-    """Serialize the netlist to a repro-format string."""
-    buf = io.StringIO()
-    dump_netlist(netlist, buf)
-    return buf.getvalue()
+    """The netlist's canonical repro-format text.
+
+    Computed once per object and kept on it (netlists are immutable), so
+    pickling, job specs and cache signatures all reuse one string.
+    """
+    return _canonical(netlist)[0]
+
+
+def _pickled_text(netlist: Netlist) -> str:
+    """What a netlist pickles as (``Netlist.__reduce__``): its canonical
+    text, with the netlist made the memo's answer for that text, so
+    unpickling in this process returns the object that was pickled."""
+    text, key = _canonical(netlist)
+    DESIGNS.adopt(key, netlist)
+    return text
 
 
 def netlist_from_string(text: str) -> Netlist:
-    """Parse a netlist from a repro-format string."""
-    return parse_netlist(io.StringIO(text))
+    """Parse a netlist from a repro-format string.
+
+    Parsed designs are shared through :mod:`repro.netlist.memo`, keyed
+    by the SHA-256 of the text: in one process, the same text returns the
+    same (immutable) netlist while it is in use.
+    """
+    return _memo_parse(text, canonical=False)
+
+
+def _netlist_from_pickle(text: str) -> Netlist:
+    """Unpickle a netlist from its canonical text (``Netlist.__reduce__``)."""
+    return _memo_parse(text, canonical=True)
+
+
+def _memo_parse(text: str, *, canonical: bool) -> Netlist:
+    key = _text_key(text)
+
+    def parse():
+        netlist = parse_netlist(io.StringIO(text, newline=None))
+        if canonical:  # pickled text is the netlist's own canonical text
+            netlist._canonical = (text, key)
+        return netlist, None
+
+    return DESIGNS.load(key, parse)[0]
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,18 @@ A :class:`Netlist` is immutable once built (use
 :class:`~repro.netlist.builder.NetlistBuilder` to construct one, and
 :mod:`repro.eco` to derive modified netlists).  It caches numpy arrays of
 cell sizes and fixed positions because every placer inner loop consumes them.
+
+A netlist crosses process boundaries as its canonical ``repro netlist v1``
+text (:func:`~repro.netlist.io.netlist_to_string`, computed once per
+object): that is what it pickles as, and unpickling goes through the
+design memo (:mod:`repro.netlist.memo`), so a process parses each distinct
+design at most once and gets back the object it already holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +30,17 @@ class Netlist:
         self.name = name
         self.cells: List[Cell] = list(cells)
         self.nets: List[Net] = list(nets)
+        #: ``(canonical text, design-memo key)``, computed on first use by
+        #: :func:`~repro.netlist.io.netlist_to_string`.
+        self._canonical: Optional[Tuple[str, str]] = None
         self._assign_indices()
         self._validate()
         self._build_caches()
+
+    def __reduce__(self):
+        from .io import _netlist_from_pickle, _pickled_text
+
+        return (_netlist_from_pickle, (_pickled_text(self),))
 
     # ------------------------------------------------------------------
     # Construction internals

@@ -3,7 +3,11 @@
 Everything here is a frozen dataclass of scalars, dicts and (for results
 that carry placements) :class:`~repro.api.FlowResult` objects — all
 picklable, so specs travel parent → worker and results travel back over
-any multiprocessing start method.
+any multiprocessing start method.  A netlist inside a spec or a result
+pickles as its canonical text, and unpickling goes through the design
+memo (:mod:`repro.netlist.memo`): each process parses a design at most
+once, and a result comes back to the parent holding the very netlist
+object the parent already has.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ RESULT_SCHEMA = "repro-jobresult/1"
 class PlacementJob:
     """One unit of batch work: a design + config + seed.
 
-    *source* is anything :func:`repro.api.resolve_source` accepts; prefer
-    name/path strings over live netlist objects when fanning out to worker
-    processes — they pickle in bytes and resolve deterministically in the
+    *source* is anything :func:`repro.api.resolve_source` accepts; a live
+    netlist is as cheap to fan out as a name or a path, since it travels
+    to workers as its canonical text and is parsed at most once per
     worker.  *config* is a :class:`~repro.core.config.PlacerConfig` or its
     canonical ``to_dict()`` form (the job normalizes to the dict form so
     specs serialize identically everywhere); *seed* overrides the config's

@@ -9,9 +9,10 @@ answered from memory without running at all.
 The cache key is a SHA-256 over the canonical byte serialization of every
 input that can change the answer:
 
-- the netlist, as :func:`repro.netlist.io.netlist_to_string` bytes (the
-  same text format ``repro convert``/``save_netlist`` write — canonical by
-  construction);
+- the netlist, as the bytes of its canonical text
+  (:func:`repro.netlist.io.netlist_to_string`, the format ``save_netlist``
+  writes; computed once per netlist object and cached on it, so a design
+  submitted many times is serialized once);
 - the placement region (bounds + row count — derived regions depend on
   ``utilization``, explicit ones on the file, either way the geometry is
   what matters);

@@ -138,7 +138,9 @@ class ServiceJob:
         ``netlist_text`` carries an inline design in the canonical repro
         netlist format (see :func:`repro.netlist.io.netlist_to_string`) —
         the way a wire client ships a live :class:`Netlist` that has no
-        name resolvable server-side.  It wins over ``source``.
+        name resolvable server-side.  It wins over ``source``, and it is
+        parsed through the design memo: resubmitting a design the server
+        still holds costs a hash, not a parse.
         """
         known = {
             "id", "source", "netlist_text", "seed", "config", "name",
@@ -189,7 +191,8 @@ class ServiceJob:
         :meth:`from_spec` — what a wire client puts in a submit frame).
 
         Name/path sources travel as strings; a live netlist travels as
-        ``netlist_text``.  A ``(netlist, region)`` tuple source cannot
+        ``netlist_text``, its canonical text (computed once per netlist
+        object and reused).  A ``(netlist, region)`` tuple source cannot
         serialize (explicit regions have no canonical text form) and
         raises ``ValueError`` — resolve it to a Bookshelf file first.
         """

@@ -209,6 +209,12 @@ class PlacementServer:
             return
         self._stop.set()
         if self._listener is not None:
+            # Closing a listening socket does not wake a thread blocked in
+            # accept(); shutting it down does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

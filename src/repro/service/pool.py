@@ -264,15 +264,18 @@ class WorkerPool:
 
     # -- observation -----------------------------------------------------
     def poll(
-        self, timeout: float
+        self, timeout: float, wakeup: Any = None
     ) -> Tuple[List[Tuple[WorkerHandle, Tuple]], List[WorkerDeath]]:
         """Wait up to *timeout* for messages or deaths; process both.
 
         Messages update handle state (ready/started/done) before being
         returned, so the supervisor sees a consistent picture.  Deaths of
         non-stopped workers are reaped (state ``DOWN``, backoff armed).
+        *wakeup* is one more object for :func:`multiprocessing.connection
+        .wait`; when it becomes readable the wait ends early, and the
+        caller drains it.
         """
-        waitables = []
+        waitables = [] if wakeup is None else [wakeup]
         by_waitable = {}
         for handle in self.handles:
             if handle.state in (STARTING, IDLE, BUSY):
@@ -287,6 +290,8 @@ class WorkerPool:
         maybe_dead: List[WorkerHandle] = []
         seen_dead = set()
         for waitable in ready:
+            if waitable is wakeup:
+                continue
             handle = by_waitable[waitable]
             if waitable is handle.conn:
                 try:

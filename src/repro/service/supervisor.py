@@ -18,16 +18,20 @@ wall-clock does.  A torn or corrupt snapshot degrades to a fresh start,
 never to a wrong result.
 
 Threading model: one background supervisor thread owns the pool and runs
-the tick loop (promote backoff jobs → dispatch → poll → classify deaths →
-watchdogs → respawn).  Client threads (submit/cancel/wait/drain) only
-touch the job table under one condition variable; cross-thread pool
-operations (chaos kills) travel through a command queue the loop drains
-each tick.
+the loop (promote backoff jobs → dispatch → wait → classify deaths →
+watchdogs → respawn).  It waits on every worker pipe and process sentinel
+plus a wake-up socket, so a worker message, a worker death, a submit or a
+cancel each end the wait at once.  Client threads (submit/cancel/wait/
+drain) only touch the job table under one condition variable, then wake
+the loop; cross-thread pool operations (cancel and chaos kills) travel
+through a command queue the loop drains on each pass.
 """
 
 from __future__ import annotations
 
 import heapq
+import pickle
+import socket
 import threading
 import time
 from collections import Counter, deque
@@ -57,6 +61,40 @@ from .progress import PROGRESS_EVENT, ProgressBroker, RESULT_EVENT
 _TERMINAL = (JobState.DONE, JobState.FAILED, JobState.CANCELLED, JobState.SHED)
 
 
+class _Wakeup:
+    """A self-pipe that ends the supervisor loop's wait early.
+
+    A socket pair, because :func:`multiprocessing.connection.wait` accepts
+    sockets on every platform.  Both ends are non-blocking: a wake-up
+    that finds the buffer full is already pending.
+    """
+
+    def __init__(self):
+        self._recv, self._send = socket.socketpair()
+        self._recv.setblocking(False)
+        self._send.setblocking(False)
+
+    def fileno(self) -> int:
+        return self._recv.fileno()
+
+    def set(self) -> None:
+        try:
+            self._send.send(b"\0")
+        except OSError:  # buffer full (already pending) or closed
+            pass
+
+    def clear(self) -> None:
+        try:
+            while self._recv.recv(4096):
+                pass
+        except OSError:  # drained
+            pass
+
+    def close(self) -> None:
+        self._recv.close()
+        self._send.close()
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Every knob of the placement service, with serving-safe defaults."""
@@ -78,7 +116,10 @@ class ServiceConfig:
     start_timeout: float = 30.0
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
-    #: Supervisor loop poll period — the latency floor for dispatch.
+    #: Longest wait of the supervisor loop between housekeeping passes
+    #: (job watchdogs, heartbeat checks, retry backoff, respawns).
+    #: Submits, cancels and worker messages wake the loop at once, so
+    #: this does not delay dispatch.
     tick_seconds: float = 0.02
     trace_dir: Optional[Union[str, Path]] = None
     #: Worker-scoped chaos installed in every pool worker (tests).
@@ -160,6 +201,7 @@ class PlacementService:
         self._delayed: List[JobRecord] = []  # waiting out retry backoff
         self._inflight: Dict[str, str] = {}  # token -> job_id
         self._commands: deque = deque()
+        self._wakeup = _Wakeup()
         self._tenant_load: Counter = Counter()
         self._queued = 0  # jobs waiting (ready + delayed), for admission
         self._seq = 0
@@ -210,8 +252,10 @@ class PlacementService:
         self._stop.set()
         with self._cond:
             self._cond.notify_all()
+        self._wakeup.set()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
+        self._wakeup.close()
         self.pool.stop()
         self.admission.close()
         now = time.monotonic()
@@ -329,6 +373,7 @@ class PlacementService:
                 priority=spec.priority, queue_depth=self._queued,
             )
             self._cond.notify_all()
+            self._wakeup.set()
             return SubmitResult(True, spec.job_id)
 
     def _result_from_flow(
@@ -382,6 +427,7 @@ class PlacementService:
             else:  # RUNNING: have the loop kill its worker
                 token = f"{job_id}#a{record.attempt_count}"
                 self._commands.append(("kill_token", token))
+                self._wakeup.set()
             record.state = JobState.CANCELLED
             record.reason = "cancelled"
             record.finished_at = time.monotonic()
@@ -445,6 +491,7 @@ class PlacementService:
         with self._cond:
             self._commands.append(("kill_slot", slot, reason))
             self._cond.notify_all()
+        self._wakeup.set()
 
     def wait(
         self, job_id: Optional[str] = None, timeout: Optional[float] = None
@@ -493,9 +540,13 @@ class PlacementService:
                 self._run_commands(now)
                 self._promote_delayed(now)
                 self._dispatch_ready(now)
-            # Poll outside the lock: the pool is loop-thread-only, and
-            # submitters must not block on our tick sleep.
-            messages, deaths = self.pool.poll(self.config.tick_seconds)
+            # Wait outside the lock: the pool is loop-thread-only, and
+            # submitters must not block on our wait.  A wake-up that comes
+            # after the clear stays pending and ends the next wait at once.
+            messages, deaths = self.pool.poll(
+                self.config.tick_seconds, wakeup=self._wakeup
+            )
+            self._wakeup.clear()
             now = time.monotonic()
             with self._cond:
                 for handle, message in messages:
@@ -574,8 +625,19 @@ class PlacementService:
             )
             record.state = JobState.RUNNING
             self._queued -= 1
+            try:
+                self.pool.dispatch(handle, token, payload)
+            except (pickle.PicklingError, AttributeError, TypeError,
+                    ValueError) as exc:
+                # The spec cannot cross the pipe (for instance a netlist
+                # with a name its canonical text cannot carry).  Nothing
+                # was sent, so the worker stays idle and the loop lives on.
+                idle.append(handle)
+                self._fail_attempt(
+                    record, "rejected", f"{type(exc).__name__}: {exc}", now
+                )
+                continue
             self._inflight[token] = job_id
-            self.pool.dispatch(handle, token, payload)
             self.events.emit(
                 "job_start", job=job_id, attempt=attempt,
                 worker=handle.worker_id, slot=handle.slot,

@@ -37,7 +37,8 @@ from repro.testing.faults import KILL_EXIT_CODE
 def tiny_job(seed=0, **kwargs):
     kwargs.setdefault("legalize", False)
     kwargs.setdefault("max_iterations", 8)
-    return PlacementJob(source="tiny", seed=seed, **kwargs)
+    kwargs.setdefault("source", "tiny")
+    return PlacementJob(seed=seed, **kwargs)
 
 
 def service_config(**kwargs):
@@ -258,6 +259,27 @@ class TestServiceHappyPath:
                 svc.submit(tiny_job(), job_id="same")
             svc.drain(timeout=60)
 
+    def test_unpicklable_netlist_is_rejected_and_service_lives_on(self):
+        """A netlist whose names its canonical text cannot carry cannot
+        cross the worker pipe: the job fails as rejected, the loop and
+        the worker stay up for the next job."""
+        from repro.netlist import NetlistBuilder
+
+        builder = NetlistBuilder("bad")
+        builder.add_cell("a b", 20.0, 16.0)
+        builder.add_cell("c", 20.0, 16.0)
+        builder.add_net("n", ["a b", "c"])
+        with PlacementService(service_config()) as svc:
+            svc.submit(tiny_job(source=builder.build()), job_id="bad")
+            bad = svc.wait("bad", timeout=60)
+            svc.submit(tiny_job(1), job_id="good")
+            good = svc.wait("good", timeout=120)
+        assert bad.state == JobState.FAILED
+        assert bad.failure_class == "rejected"
+        assert "cell name 'a b'" in bad.reason
+        assert good.state == JobState.DONE
+        assert good.result.final_hpwl_m == serial_hpwl(1)
+
     def test_rejected_input_fails_fast_with_attribution(self):
         with PlacementService(service_config()) as svc:
             svc.submit(PlacementJob(source="no-such-circuit"), job_id="bad")
@@ -456,6 +478,43 @@ class TestServiceAdmission:
         states = {r.job_id: r.state for r in records}
         assert states["keep"] == JobState.DONE
         assert states["drop"] == JobState.CANCELLED
+
+
+class TestSupervisorWakeup:
+    """``tick_seconds`` only paces housekeeping: submits and cancels wake
+    the supervisor loop at once, so a tick far longer than a job delays
+    neither dispatch nor a cancel's kill."""
+
+    def test_submit_dispatches_without_waiting_out_the_tick(self):
+        with PlacementService(service_config(tick_seconds=5.0)) as svc:
+            svc.submit(tiny_job(1), job_id="warm")
+            assert svc.wait("warm", timeout=120).state == JobState.DONE
+            svc.submit(tiny_job(2), job_id="timed")
+            record = svc.wait("timed", timeout=120)
+        assert record.state == JobState.DONE
+        queue_wait = record.attempts[0].dispatched_at - record.submitted_at
+        assert queue_wait < 1.0
+
+    def test_cancel_kills_a_running_job_without_waiting_out_the_tick(
+        self, tmp_path
+    ):
+        job = tiny_job(3, inject_faults=(("hang_worker", {
+            "at_iteration": 1, "seconds": 120.0,
+            "once_path": str(tmp_path / "once"),
+        }),))
+        with PlacementService(service_config(tick_seconds=5.0)) as svc:
+            svc.submit(job, job_id="stuck")
+            deadline = time.monotonic() + 60
+            while svc.record("stuck").attempts == [] or (
+                svc.record("stuck").attempts[0].started_at is None
+            ):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            t0 = time.monotonic()
+            assert svc.cancel("stuck")
+            while svc.events.count("worker_death") == 0:
+                assert time.monotonic() - t0 < 1.0, "cancel waited for a tick"
+                time.sleep(0.01)
 
 
 # ----------------------------------------------------------------------

@@ -407,6 +407,25 @@ class TestDisconnectChaos:
 # ----------------------------------------------------------------------
 # Concurrent wire clients
 # ----------------------------------------------------------------------
+class TestServerClose:
+    """Closing the listener must wake the thread blocked in accept()."""
+
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_close_returns_within_a_second(self, connected):
+        from repro.service import PlacementService
+
+        with PlacementService(service_config()) as service:
+            server = PlacementServer(service).start()
+            client = Client.connect(*server.address) if connected else None
+            time.sleep(0.2)  # let the accept thread block in accept()
+            t0 = time.monotonic()
+            server.close()
+            elapsed = time.monotonic() - t0
+            if client is not None:
+                client.close()
+        assert elapsed < 1.0
+
+
 class TestConcurrentClients:
     def test_two_tenants_stream_concurrently(self):
         config = service_config(workers=2)
