@@ -17,8 +17,8 @@ Sub-packages:
 - :mod:`repro.api` — the stable one-call facade (``place``/``place_many``).
 - :mod:`repro.parallel` — the parallel batch-placement engine.
 - :mod:`repro.core` — the force-directed global placer (the contribution).
-- :mod:`repro.backend` — pluggable array backends (numpy / cupy / torch)
-  for the field/solve hot path; see ``docs/BACKENDS.md``.
+- :mod:`repro.backend` — pluggable array backends (numpy / torch) for
+  the field/solve hot path; see ``docs/BACKENDS.md``.
 - :mod:`repro.netlist` — cells, nets, placements, benchmark generators.
 - :mod:`repro.geometry` — rectangles, rows, regions, bin grids.
 - :mod:`repro.timing` — Elmore delays, STA, timing-driven flows.

@@ -483,7 +483,8 @@ def place_many(
     :class:`~repro.parallel.PlacementJob` specs (used verbatim).
     *workers* follows :func:`repro.parallel.run_batch` semantics: ``None``
     uses the CPU count, ``0`` runs serially in-process (the determinism
-    baseline), ``N >= 1`` uses a process pool.
+    baseline), ``N >= 1`` starts the supervised worker pool
+    (:mod:`repro.parallel.pool`) for the call.
 
     Thin wrapper over :meth:`Client.map`.
     """
@@ -826,8 +827,14 @@ class Client:
         progress=None,
         keep_placements: bool = True,
     ):
-        """Run a batch through the parallel engine (no queue, no retries)
-        — :func:`place_many` semantics; returns its ``BatchResult``."""
+        """Run a batch on a worker pool started for this call —
+        :func:`place_many` semantics; returns its ``BatchResult``.
+
+        It is the pool the service supervises, but a batch has no queue
+        and never retries: a job whose worker dies fails alone as
+        ``WorkerDeath``.  The pool's workers are children of this
+        process for either transport; a connected server takes no part.
+        """
         from .parallel import run_batch
 
         jobs = _jobs_for(

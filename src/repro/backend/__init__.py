@@ -7,8 +7,8 @@ The public surface is tiny:
   variable and falls back to numpy, so the default is always available
   and always bit-identical to the historical numpy code.
 - :func:`available_backends` — which of the known backends can actually
-  be constructed in this environment (numpy always; cupy/torch only when
-  their libraries are importable).
+  be constructed in this environment (numpy always; torch only when it
+  is importable).
 - :data:`NUMPY` — the shared reference-backend instance.
 
 See :mod:`repro.backend.base` for the protocol and the guarantees, and
@@ -24,7 +24,7 @@ from .base import Backend
 from .numpy_backend import NumpyBackend
 
 #: Names accepted by :func:`resolve_backend` (and ``PlacerConfig.backend``).
-BACKEND_NAMES = ("numpy", "cupy", "torch")
+BACKEND_NAMES = ("numpy", "torch")
 
 #: The always-on reference backend; hot-path call sites use this when no
 #: backend is threaded through, keeping the default path allocation-free.
@@ -51,14 +51,9 @@ def resolve_backend(name: Optional[str] = None) -> Backend:
     backend = _INSTANCES.get(name)
     if backend is None:
         try:
-            if name == "torch":
-                from .torch_backend import TorchBackend
+            from .torch_backend import TorchBackend
 
-                backend = TorchBackend()
-            else:
-                from .cupy_backend import CupyBackend
-
-                backend = CupyBackend()
+            backend = TorchBackend()
         except ImportError as exc:
             raise ValueError(
                 f"array backend {name!r} requested but {name} is not "
@@ -72,7 +67,7 @@ def resolve_backend(name: Optional[str] = None) -> Backend:
 def available_backends() -> List[str]:
     """Names of backends that can be constructed here, numpy first."""
     names = ["numpy"]
-    for name in ("cupy", "torch"):
+    for name in BACKEND_NAMES[1:]:
         try:
             resolve_backend(name)
         except ValueError:

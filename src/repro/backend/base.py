@@ -15,7 +15,7 @@ more.  The contract:
   crosses back into the placer — sampled forces, field maps, solve
   results — goes through :meth:`Backend.to_numpy`, so checkpoints,
   determinism hashes and telemetry always see plain numpy.
-* **Accelerator backends are optional and lazy.**  cupy/torch are only
+* **Accelerator backends are optional and lazy.**  torch is only
   imported when explicitly requested (``PlacerConfig.backend`` or the
   ``REPRO_BACKEND`` environment variable); a missing library raises an
   informative error instead of poisoning import time.
@@ -43,7 +43,7 @@ class Backend:
     shares them.
     """
 
-    #: Registry name ("numpy", "cupy", "torch").
+    #: Registry name ("numpy", "torch").
     name: str = "abstract"
     #: True only for the numpy reference backend; hot-path call sites use
     #: this to keep the default path free of any conversion overhead.

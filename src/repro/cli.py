@@ -42,6 +42,7 @@ import time
 from pathlib import Path
 from typing import Optional, Tuple
 
+from .backend import BACKEND_NAMES
 from .core import KraftwerkPlacer, NumericalHealthError, PlacerConfig
 from .evaluation import distribution_stats, format_table, hpwl_meters, total_overlap
 from .geometry import PlacementRegion
@@ -102,10 +103,10 @@ def _add_placer_args(
                         help="fast mode (K = 1.0) instead of standard (K = 0.2)")
     parser.add_argument("--net-model", choices=["clique", "b2b"],
                         default="clique", dest="net_model")
-    parser.add_argument("--backend", choices=["numpy", "cupy", "torch"],
+    parser.add_argument("--backend", choices=BACKEND_NAMES,
                         default=None,
                         help="array backend for the field/solve hot path "
-                             "(default numpy; cupy/torch need the optional "
+                             "(default numpy; torch needs the optional "
                              "dependency installed)")
     parser.add_argument("--spectral-mode", choices=["fft", "dct", "direct"],
                         default=None, dest="spectral_mode",

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional
 
+from ..backend import BACKEND_NAMES
+
 STANDARD_K = 0.2
 FAST_K = 1.0
 
@@ -170,7 +172,8 @@ class PlacerConfig:
         including the final full-netlist stage).
     backend:
         Array backend for the field/solve hot path: ``"numpy"`` (default,
-        bit-identical reference), ``"cupy"`` or ``"torch"``.  ``None``
+        bit-identical reference) or ``"torch"`` (CPU, or GPU with
+        ``REPRO_TORCH_DEVICE=cuda``).  ``None``
         consults the ``REPRO_BACKEND`` environment variable and falls back
         to numpy.  Accelerator backends are resolved lazily at placer
         construction and raise an actionable error when the library is
@@ -263,11 +266,9 @@ class PlacerConfig:
             raise ValueError("multilevel_levels must be >= 0 (0 = flat)")
         if self.multilevel_refine_iterations < 1:
             raise ValueError("multilevel_refine_iterations must be >= 1")
-        if self.backend is not None and self.backend not in (
-            "numpy", "cupy", "torch"
-        ):
+        if self.backend is not None and self.backend not in BACKEND_NAMES:
             raise ValueError(
-                f"backend must be 'numpy', 'cupy', 'torch' or None, "
+                f"backend must be one of {BACKEND_NAMES} or None, "
                 f"got {self.backend!r}"
             )
         if self.spectral_mode not in ("fft", "dct", "direct"):

@@ -174,10 +174,10 @@ class HealthGuard:
 #:   ``"pre_rename"`` (tmp file written, atomic rename pending) and
 #:   ``"post_rename"`` (snapshot committed), so torn-write and
 #:   corrupted-snapshot scenarios can be injected deterministically.
-#: - ``"worker_start"``: hook(worker_id: int) -> None — called once in a
-#:   service worker's initializer (e.g. to simulate a slow cold start).
+#: - ``"worker_start"``: hook(worker_id: int) -> None — called once as a
+#:   pool worker starts (e.g. to simulate a slow cold start).
 #: - ``"worker_job"``: hook(worker_id: int, token: str) -> None — called
-#:   in a service worker immediately before each job it executes.
+#:   in a pool worker immediately before each job it executes.
 _FAULT_HOOKS: Dict[str, Callable] = {}
 
 

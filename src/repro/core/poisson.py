@@ -216,8 +216,8 @@ class DctPoissonSolver:
 
         Σ_{u≥1} b_u sin(πu(2n+1)/2N) = (-1)ⁿ Σ_k b_{N-k} cos(πk(2n+1)/2N)
 
-    so only a DCT/IDCT pair is needed from the backend (torch and older
-    cupy builds get the generic FFT-based Makhoul transforms).
+    so only a DCT/IDCT pair is needed from the backend (torch gets the
+    generic FFT-based Makhoul transforms).
 
     The constructor precomputes every frequency-domain multiplier for the
     grid geometry; :func:`solver_for_grid` caches instances per

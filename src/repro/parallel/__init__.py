@@ -18,12 +18,8 @@ or, one level up, :func:`repro.api.place_many`.
 """
 
 from .jobs import BATCH_SCHEMA, BatchResult, JobResult, PlacementJob
-from .engine import (
-    ProgressCallback,
-    resolve_mp_context,
-    resolve_workers,
-    run_batch,
-)
+from .engine import ProgressCallback, resolve_workers, run_batch
+from .pool import resolve_mp_context
 
 __all__ = [
     "BATCH_SCHEMA",

@@ -1,19 +1,22 @@
-"""The batch-execution engine: many placement jobs, one process pool.
+"""The batch-execution engine: many placement jobs on the supervised pool.
 
 The placer's flow level is embarrassingly parallel — multi-start seeds,
 K-sweeps, benchmark suites — and each job is a deterministic pure function
-of its spec, so fanning jobs over a ``ProcessPoolExecutor`` preserves
-bit-identical per-job results at any worker count.  The engine adds the
-batch-level concerns:
+of its spec, so fanning jobs over worker processes preserves bit-identical
+per-job results at any worker count.  :func:`run_batch` starts a
+:class:`~repro.parallel.pool.WorkerPool` for each call, the same pool the
+placement service supervises, and adds the batch-level concerns:
 
 - **worker-count / start-method control** — ``workers=None`` uses the CPU
   count, ``workers=0`` runs serially in-process (the determinism and
   wall-clock baseline), ``mp_context`` picks ``fork``/``spawn``/
   ``forkserver`` (``"auto"`` prefers ``fork`` where the OS offers it);
 - **failure isolation** — a job that diverges (``NumericalHealthError``),
-  rejects its input (``ValueError``) or dies any other way is returned as
-  a failed :class:`~repro.parallel.jobs.JobResult`; its siblings finish
-  unharmed, even across a broken pool;
+  rejects its input (``ValueError``) or raises anything else is returned
+  as a failed :class:`~repro.parallel.jobs.JobResult`; a job whose worker
+  dies fails alone as ``WorkerDeath``, and the slot respawns for the jobs
+  left.  Its siblings finish unharmed.  A batch never retries a job (the
+  service does, under its retry policy);
 - **deadline / checkpoint integration** — per-job deadlines ride in each
   job's config; ``checkpoint_dir`` gives every job a resumable
   :mod:`repro.core.checkpoint` snapshot path, and ``resume=True`` picks
@@ -28,15 +31,23 @@ batch-level concerns:
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..backend import resolve_backend
 from .jobs import BatchResult, JobResult, PlacementJob
+from .pool import MSG_DONE, MSG_READY, UNSENDABLE, WorkerPool
+
+#: Longest wait between the batch loop's housekeeping passes (heartbeat
+#: checks, respawns); a worker message or death ends the wait at once.
+_TICK_S = 0.05
+#: When workers keep dying before they report ready (a worker that cannot
+#: start at all), the jobs still waiting fail after this many such deaths
+#: per slot instead of respawning forever.
+_START_ATTEMPTS = 3
 
 ProgressCallback = Callable[[JobResult, int, int], None]
 
@@ -48,23 +59,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return int(workers)
-
-
-def resolve_mp_context(name: str = "auto") -> mp.context.BaseContext:
-    """Pick a multiprocessing start method.
-
-    ``"auto"`` prefers ``fork`` (cheap on Linux: workers inherit the loaded
-    numpy/scipy images) and falls back to ``spawn`` elsewhere.  Explicit
-    names are validated against what the platform offers.
-    """
-    methods = mp.get_all_start_methods()
-    if name == "auto":
-        name = "fork" if "fork" in methods else "spawn"
-    if name not in methods:
-        raise ValueError(
-            f"start method {name!r} not available here; choose from {methods}"
-        )
-    return mp.get_context(name)
 
 
 def _job_payload(
@@ -96,21 +90,6 @@ def _job_payload(
         # dispatch; opens the placer's per-iteration observer gate.
         "stream_progress": False,
     }
-
-
-def _worker_initializer() -> None:
-    """Pool-worker bootstrap, run once per worker under any start method.
-
-    Re-installs fault hooks declared in the :data:`~repro.testing.faults
-    .FAULT_SPEC_ENV` environment variable.  Under ``fork`` the parent's
-    in-memory hook registry is inherited anyway; under ``spawn`` and
-    ``forkserver`` the worker starts from a clean interpreter and this
-    module-level re-install is the only way injection reaches it — which
-    is exactly what the chaos suite exercises on the start-method matrix.
-    """
-    from ..testing.faults import install_env_hooks
-
-    install_env_hooks()
 
 
 def _execute_job(
@@ -185,35 +164,36 @@ def _execute_job(
             phase: float(data.get("seconds", 0.0))
             for phase, data in totals.items()
         }
-        return JobResult(
+        return JobResult.from_flow(
+            flow,
             name=name,
             index=index,
-            seed=seed,
-            ok=True,
-            hpwl_m=flow.hpwl_m,
-            legal_hpwl_m=flow.legal_hpwl_m,
-            final_hpwl_m=flow.final_hpwl_m,
-            iterations=flow.iterations,
-            converged=flow.converged,
-            timed_out=flow.timed_out,
+            keep_flow=payload["keep_placements"],
             seconds=time.perf_counter() - t0,
-            recovery_escalations=flow.recovery_escalations,
             trace_path=trace_path,
             phases=phases,
-            flow=flow if payload["keep_placements"] else None,
             resumed_iteration=resumed_iteration,
-            positions_hash=flow.positions_hash(),
         )
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
-        return JobResult(
-            name=name,
-            index=index,
-            seed=seed,
-            ok=False,
+        return _failed(
+            payload, type(exc).__name__, str(exc),
             seconds=time.perf_counter() - t0,
-            error=str(exc),
-            error_type=type(exc).__name__,
         )
+
+
+def _failed(
+    payload: Dict[str, Any], error_type: str, error: str, seconds: float = 0.0
+) -> JobResult:
+    """The failed :class:`JobResult` of *payload*'s job."""
+    return JobResult(
+        name=payload["name"],
+        index=payload["index"],
+        seed=payload["seed"],
+        ok=False,
+        seconds=seconds,
+        error=error,
+        error_type=error_type,
+    )
 
 
 def _fault_context(site: str, **kwargs):
@@ -257,7 +237,7 @@ def run_batch(
         ckpt_dir = Path(checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         jobs = [
-            _with_checkpoint(job, i, ckpt_dir, checkpoint_every)
+            job.with_checkpoint(ckpt_dir, job.display_name(i), checkpoint_every)
             for i, job in enumerate(jobs)
         ]
     payloads = [
@@ -266,46 +246,27 @@ def run_batch(
     ]
     total = len(payloads)
     results: List[Optional[JobResult]] = [None] * total
-    t0 = time.perf_counter()
+    done = 0
 
+    def finish(index: int, result: JobResult) -> None:
+        nonlocal done
+        results[index] = result
+        done += 1
+        if progress is not None:
+            progress(result, done, total)
+
+    t0 = time.perf_counter()
     if n_workers == 0 or total <= 1:
         context_name = "serial"
         for i, payload in enumerate(payloads):
-            results[i] = _execute_job(payload)
-            if progress is not None:
-                progress(results[i], sum(r is not None for r in results), total)
+            finish(i, _execute_job(payload))
     else:
-        context = resolve_mp_context(mp_context)
-        context_name = context.get_start_method()
-        done_count = 0
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, total),
-            mp_context=context,
-            initializer=_worker_initializer,
-        ) as pool:
-            pending = {
-                pool.submit(_execute_job, payload): i
-                for i, payload in enumerate(payloads)
-            }
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i = pending.pop(future)
-                    try:
-                        result = future.result()
-                    except Exception as exc:  # pool/transport failure
-                        result = JobResult(
-                            name=payloads[i]["name"],
-                            index=i,
-                            seed=payloads[i]["seed"],
-                            ok=False,
-                            error=str(exc),
-                            error_type=type(exc).__name__,
-                        )
-                    results[i] = result
-                    done_count += 1
-                    if progress is not None:
-                        progress(result, done_count, total)
+        pool = WorkerPool(min(n_workers, total), mp_context=mp_context)
+        context_name = pool.mp_context
+        try:
+            _run_on_pool(pool, payloads, finish)
+        finally:
+            pool.stop()
 
     return BatchResult(
         jobs=tuple(results),  # type: ignore[arg-type]
@@ -315,24 +276,64 @@ def run_batch(
     )
 
 
-def _with_checkpoint(
-    job: PlacementJob, index: int, ckpt_dir: Path, every: int
-) -> PlacementJob:
-    """Give *job* a per-job checkpoint path under *ckpt_dir* (config copy)."""
-    from dataclasses import replace
+def _run_on_pool(
+    pool: WorkerPool,
+    payloads: List[Dict[str, Any]],
+    finish: Callable[[int, JobResult], None],
+) -> None:
+    """Run every payload on *pool*, each job once, passing results to
+    *finish* in completion order.
 
-    config = job.config_dict()
-    if not config.get("checkpoint_path"):
-        config["checkpoint_path"] = str(
-            ckpt_dir / f"{job.display_name(index)}.ckpt.npz"
-        )
-    config["checkpoint_every"] = int(every)
-    return replace(job, config=config)
+    Idle workers take jobs in job order.  A worker death fails only the
+    job that worker held; its slot respawns while jobs are still waiting.
+    """
+    waiting = deque(range(len(payloads)))
+    running: Dict[str, int] = {}  # pool token -> job index
+    start_deaths = 0  # deaths since a worker last reported ready
+    pool.start()
+    while waiting or running:
+        idle = pool.idle_handles()
+        while idle and waiting:
+            index = waiting.popleft()
+            handle = idle.pop()
+            try:
+                pool.dispatch(handle, str(index), payloads[index])
+            except UNSENDABLE as exc:
+                idle.append(handle)
+                finish(index, _failed(payloads[index], type(exc).__name__,
+                                      str(exc)))
+                continue
+            running[str(index)] = index
+        messages, deaths = pool.poll(_TICK_S)
+        for _, message in messages:
+            if message[0] == MSG_READY:
+                start_deaths = 0
+            elif message[0] == MSG_DONE:
+                finish(running.pop(message[1]), message[2])
+        for death in deaths + pool.check_health(time.monotonic()):
+            if death.token is not None:
+                index = running.pop(death.token)
+                finish(index, _failed(payloads[index], "WorkerDeath",
+                                      death.detail))
+                continue
+            start_deaths += 1
+            if (
+                start_deaths >= _START_ATTEMPTS * len(pool.handles)
+                and not running
+                and not pool.idle_handles()
+            ):
+                while waiting:
+                    index = waiting.popleft()
+                    finish(index, _failed(
+                        payloads[index], "WorkerDeath",
+                        f"no worker could start: {death.detail}",
+                    ))
+        if waiting:
+            pool.maybe_respawn(time.monotonic())
 
 
 __all__ = [
     "ProgressCallback",
-    "resolve_mp_context",
     "resolve_workers",
     "run_batch",
 ]

@@ -13,7 +13,7 @@ object the parent already has.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -78,6 +78,24 @@ class PlacementJob:
             ) or f"job{index}"
         return f"{base}-s{self.seed}"
 
+    def with_checkpoint(
+        self, directory: Union[str, Path], stem: str, every: int
+    ) -> "PlacementJob":
+        """This job, snapshotting to ``<directory>/<stem>.ckpt.npz`` every
+        *every* transformations.
+
+        A job whose config already names a ``checkpoint_path`` is returned
+        unchanged, its own ``checkpoint_every`` included.
+        """
+        config = self.config_dict()
+        if config.get("checkpoint_path"):
+            return self
+        config["checkpoint_path"] = str(Path(directory) / f"{stem}.ckpt.npz")
+        # config_dict() is fully materialized (defaults and all), so the
+        # interval must overwrite, not setdefault.
+        config["checkpoint_every"] = int(every)
+        return replace(self, config=config)
+
 
 @dataclass(frozen=True)
 class JobResult:
@@ -116,6 +134,40 @@ class JobResult:
     #: worker-side for successful jobs, even when the coordinate arrays
     #: themselves are dropped — bit-exact identity travels for free.
     positions_hash: Optional[str] = None
+
+    @classmethod
+    def from_flow(
+        cls,
+        flow: FlowResult,
+        *,
+        name: str,
+        index: int,
+        keep_flow: bool = True,
+        **run: Any,
+    ) -> "JobResult":
+        """The successful result of a job that produced *flow*.
+
+        The flow's scalar summary and positions hash are always copied;
+        the flow itself (with its coordinate arrays) only when
+        *keep_flow*.  *run* sets what the flow does not record:
+        ``seconds``, ``trace_path``, ``phases``, ``resumed_iteration``.
+        """
+        return cls(
+            name=name,
+            index=index,
+            seed=flow.seed,
+            ok=True,
+            hpwl_m=flow.hpwl_m,
+            legal_hpwl_m=flow.legal_hpwl_m,
+            final_hpwl_m=flow.final_hpwl_m,
+            iterations=flow.iterations,
+            converged=flow.converged,
+            timed_out=flow.timed_out,
+            recovery_escalations=flow.recovery_escalations,
+            positions_hash=flow.positions_hash(),
+            flow=flow if keep_flow else None,
+            **run,
+        )
 
     def summary(self) -> Dict[str, Any]:
         """JSON-safe scalar summary of this job."""

@@ -1,4 +1,4 @@
-"""Fault-tolerant placement service: pool, supervisor, admission.
+"""Fault-tolerant placement service: supervisor, admission, wire.
 
 The batch engine (:mod:`repro.parallel`) runs a fixed list of jobs and
 exits; this package keeps placing *indefinitely* under real-world failure
@@ -15,8 +15,9 @@ mid-write — without losing answers or changing them.  The guarantees:
 
 Layering (each module only knows the one below):
 
-- :mod:`~repro.service.pool` — supervised worker processes: pipes,
-  heartbeats, sentinels, capped-backoff respawns;
+- :mod:`repro.parallel.pool` — supervised worker processes: pipes,
+  heartbeats, sentinels, capped-backoff respawns.  The batch engine runs
+  on the same pool, and imports point one way: service → parallel;
 - :mod:`~repro.service.supervisor` — priority queue, per-job watchdogs,
   retry policy, checkpoint migration, result cache, drain;
 - :mod:`~repro.service.admission` — bounded queue, tenant quotas,
@@ -52,7 +53,7 @@ from .net import (
     WireClient,
     WireError,
 )
-from .pool import WorkerDeath, WorkerHandle, WorkerPool
+from ..parallel.pool import WorkerDeath, WorkerHandle, WorkerPool
 from .progress import PROGRESS_EVENT, ProgressBroker, RESULT_EVENT
 from .supervisor import PlacementService, ServiceConfig, serve_jobs
 

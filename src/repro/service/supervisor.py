@@ -2,7 +2,7 @@
 
 This is the layer that turns the batch engine's "run N jobs, hope"
 into a *service*: jobs are admitted (or shed with a reason), queued by
-priority, dispatched to the supervised :class:`~repro.service.pool
+priority, dispatched to the supervised :class:`~repro.parallel.pool
 .WorkerPool`, watched against per-job wall-clock deadlines, and — when a
 worker dies or hangs mid-job — retried under the job's
 :class:`~repro.service.jobs.RetryPolicy` with capped exponential backoff.
@@ -30,7 +30,6 @@ through a command queue the loop drains on each pass.
 from __future__ import annotations
 
 import heapq
-import pickle
 import socket
 import threading
 import time
@@ -42,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..observability.events import EventLog, latency_summary
 from ..parallel.engine import _job_payload
 from ..parallel.jobs import JobResult, PlacementJob
+from ..parallel.pool import UNSENDABLE, WorkerDeath, WorkerPool
 from .admission import AdmissionController
 from .cache import ResultCache, job_signature
 from .jobs import (
@@ -54,7 +54,6 @@ from .jobs import (
     SubmitResult,
     classify_failure,
 )
-from .pool import WorkerDeath, WorkerPool
 from .progress import PROGRESS_EVENT, ProgressBroker, RESULT_EVENT
 
 #: Terminal job states — a record in one of these never changes again.
@@ -331,7 +330,9 @@ class PlacementService:
                 self.broker.subscribe(spec.job_id, progress)
             if cached_flow is not None:
                 record.cached = True
-                record.result = self._result_from_flow(spec, seq, cached_flow)
+                record.result = JobResult.from_flow(
+                    cached_flow, name=spec.job.name or spec.job_id, index=seq
+                )
                 record.state = JobState.DONE
                 record.finished_at = time.monotonic()
                 self.events.emit(
@@ -376,27 +377,6 @@ class PlacementService:
             self._wakeup.set()
             return SubmitResult(True, spec.job_id)
 
-    def _result_from_flow(
-        self, spec: ServiceJob, seq: int, flow
-    ) -> JobResult:
-        """A DONE :class:`JobResult` materialized from a cached flow."""
-        return JobResult(
-            name=spec.job.name or spec.job_id,
-            index=seq,
-            seed=flow.seed,
-            ok=True,
-            hpwl_m=flow.hpwl_m,
-            legal_hpwl_m=flow.legal_hpwl_m,
-            final_hpwl_m=flow.final_hpwl_m,
-            iterations=flow.iterations,
-            converged=flow.converged,
-            timed_out=flow.timed_out,
-            seconds=0.0,
-            recovery_escalations=flow.recovery_escalations,
-            positions_hash=flow.positions_hash(),
-            flow=flow,
-        )
-
     def _prepared(self, spec: ServiceJob) -> ServiceJob:
         """Pin the job's name and (if configured) its checkpoint path.
 
@@ -405,15 +385,15 @@ class PlacementService:
         possible at all.
         """
         job = spec.job
-        config = job.config_dict()
-        if self._ckpt_dir is not None and not config.get("checkpoint_path"):
-            config["checkpoint_path"] = str(
-                self._ckpt_dir / f"{spec.job_id}.ckpt.npz"
+        if self._ckpt_dir is not None:
+            job = job.with_checkpoint(
+                self._ckpt_dir, spec.job_id, self.config.checkpoint_every
             )
-            # The job's config_dict() is fully materialized (defaults and
-            # all), so the service knob must overwrite, not setdefault.
-            config["checkpoint_every"] = int(self.config.checkpoint_every)
-        job = replace(job, config=config, name=job.name or spec.job_id)
+        # config_dict() validates the config here, in submit, where a bad
+        # key can raise to the caller instead of in the loop at dispatch.
+        job = replace(
+            job, config=job.config_dict(), name=job.name or spec.job_id
+        )
         return replace(spec, job=job)
 
     def cancel(self, job_id: str) -> bool:
@@ -627,11 +607,8 @@ class PlacementService:
             self._queued -= 1
             try:
                 self.pool.dispatch(handle, token, payload)
-            except (pickle.PicklingError, AttributeError, TypeError,
-                    ValueError) as exc:
-                # The spec cannot cross the pipe (for instance a netlist
-                # with a name its canonical text cannot carry).  Nothing
-                # was sent, so the worker stays idle and the loop lives on.
+            except UNSENDABLE as exc:
+                # The spec cannot cross the pipe; the loop lives on.
                 idle.append(handle)
                 self._fail_attempt(
                     record, "rejected", f"{type(exc).__name__}: {exc}", now
@@ -718,10 +695,7 @@ class PlacementService:
         failure_class = (
             "timeout" if death.reason == "job_timeout" else "worker_death"
         )
-        detail = f"worker {death.worker_id} {death.reason}"
-        if death.exitcode is not None:
-            detail += f" (exit {death.exitcode})"
-        self._fail_attempt(record, failure_class, detail, now)
+        self._fail_attempt(record, failure_class, death.detail, now)
 
     def _check_job_timeouts(self, now: float) -> None:
         for handle in self.pool.handles:

@@ -44,9 +44,9 @@ from ..core import health
 KILL_EXIT_CODE = 86
 
 #: Environment variable carrying a JSON list of ``[name, kwargs]`` fault
-#: specs, re-installed by worker initializers so injection survives
-#: ``spawn``/``forkserver`` start methods (where the parent's in-memory
-#: hook registry is not inherited).
+#: specs, re-installed by every pool worker at start-up so injection
+#: survives ``spawn``/``forkserver`` start methods (where the parent's
+#: in-memory hook registry is not inherited).
 FAULT_SPEC_ENV = "REPRO_FAULT_SPECS"
 
 
@@ -289,7 +289,7 @@ def corrupt_checkpoint(
 def slow_start(
     seconds: float = 0.5, once_path: Optional[str] = None
 ) -> "_ContextWithStats":
-    """Delay a service worker's initializer by *seconds*.
+    """Delay a pool worker's start-up by *seconds*.
 
     Fires at the ``worker_start`` hook site, before the worker reports
     ready — a supervisor with a start watchdog must either tolerate the
@@ -307,7 +307,7 @@ def slow_start(
 
 #: Name -> factory for every injectable fault.  This is the single
 #: resolution table used by job specs (``PlacementJob.inject_faults``),
-#: service worker initializers, and the :data:`FAULT_SPEC_ENV` mechanism.
+#: pool-level chaos, and the :data:`FAULT_SPEC_ENV` mechanism.
 FAULT_FACTORIES = {
     "corrupt_field": corrupt_field,
     "fail_cg": fail_cg,
@@ -385,8 +385,8 @@ def install_process_faults(specs: List[FaultSpec]) -> int:
 def install_env_hooks() -> int:
     """Install every fault spec from :data:`FAULT_SPEC_ENV`, process-lifetime.
 
-    Called from worker initializers (the batch engine's pool and the
-    service worker main), so injection registered in the parent reaches
+    Called at the start of every pool worker (the one pool that batches
+    and the service share), so injection registered in the parent reaches
     workers under **every** start method — ``fork`` inherits the hook
     registry for free, but ``spawn``/``forkserver`` workers start from a
     clean interpreter and must re-install from the environment.  Returns

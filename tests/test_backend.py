@@ -1,11 +1,11 @@
 """The array-backend layer: resolution, generic DCT, cross-backend parity.
 
 The parity classes parameterize over every backend importable in this
-environment (numpy always; cupy/torch when installed) and both spectral
+environment (numpy always; torch when installed) and both spectral
 modes, pinning each backend's hot-path kernels against the numpy
-reference and the dense oracles.  On a CPU-only CI without torch/cupy
-the accelerator rows skip; the generic Makhoul DCT still gets exercised
-through a numpy-primitive subclass that keeps the base-class transforms.
+reference and the dense oracles.  Without torch the accelerator rows
+skip; the generic Makhoul DCT still gets exercised through a
+numpy-primitive subclass that keeps the base-class transforms.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class TestResolveBackend:
             resolve_backend("galactic")
 
     def test_missing_accelerator_is_actionable(self):
-        for name in ("cupy", "torch"):
+        for name in ("torch",):
             if name in AVAILABLE:
                 continue
             with pytest.raises(ValueError, match="not installed"):
@@ -107,7 +107,7 @@ class TestResolveBackend:
             PlacerConfig(spectral_mode="bogus")
 
     def test_placer_fails_fast_on_missing_accelerator(self, tiny_circuit):
-        for name in ("cupy", "torch"):
+        for name in ("torch",):
             if name in AVAILABLE:
                 continue
             config = PlacerConfig(backend=name)

@@ -31,6 +31,7 @@ from repro.netlist import GeneratorSpec, generate_circuit, save_bookshelf, save_
 from repro.observability import read_trace_jsonl
 from repro.observability.bench import merge_batch_record
 from repro.parallel import resolve_mp_context, resolve_workers
+from repro.testing.faults import KILL_EXIT_CODE
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +277,54 @@ class TestFailureIsolation:
         batch = run_batch(jobs, workers=workers, keep_placements=False)
         assert [j.ok for j in batch.jobs] == [True, True, False]
         assert batch.jobs[2].error_type == "ValueError"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_death_fails_only_its_job(self, workers):
+        jobs = tiny_jobs(range(6))
+        jobs[1] = PlacementJob(
+            source="tiny", seed=1, legalize=False, max_iterations=8,
+            inject_faults=(("kill_worker", {"at_iteration": 1}),),
+        )
+        batch = run_batch(jobs, workers=workers, keep_placements=False)
+        assert [j.ok for j in batch.jobs] == [True, False, True, True, True, True]
+        failed = batch.jobs[1]
+        assert failed.error_type == "WorkerDeath"
+        assert failed.error.endswith(f"died (exit {KILL_EXIT_CODE})")
+        serial = run_batch(tiny_jobs(range(6)), workers=0, keep_placements=False)
+        others = [0, 2, 3, 4, 5]
+        assert [batch.jobs[i].final_hpwl_m for i in others] == [
+            serial.jobs[i].final_hpwl_m for i in others
+        ]
+
+    def test_unpicklable_source_is_isolated(self):
+        """A netlist whose names its canonical text cannot carry cannot
+        cross the worker pipe: that job fails, the others finish."""
+        from repro.netlist import NetlistBuilder
+
+        builder = NetlistBuilder("bad")
+        builder.add_cell("a b", 20.0, 16.0)
+        builder.add_cell("c", 20.0, 16.0)
+        builder.add_net("n", ["a b", "c"])
+        jobs = tiny_jobs(range(3))
+        jobs[1] = PlacementJob(source=builder.build(), legalize=False,
+                               max_iterations=4)
+        batch = run_batch(jobs, workers=2, keep_placements=False)
+        assert [j.ok for j in batch.jobs] == [True, False, True]
+        assert batch.jobs[1].error_type == "ValueError"
+        assert "cell name 'a b'" in batch.jobs[1].error
+
+    def test_workers_that_cannot_start_fail_the_batch(self, monkeypatch):
+        """Workers that die before reporting ready are respawned a few
+        times, then the waiting jobs fail instead of waiting forever."""
+        from repro.testing.faults import FAULT_SPEC_ENV
+
+        monkeypatch.setenv(FAULT_SPEC_ENV, "not json")  # fails worker start
+        batch = run_batch(tiny_jobs(range(3)), workers=2,
+                          keep_placements=False)
+        assert [j.ok for j in batch.jobs] == [False, False, False]
+        for job in batch.jobs:
+            assert job.error_type == "WorkerDeath"
+            assert job.error.startswith("no worker could start: worker ")
 
     def test_unknown_fault_site_is_isolated(self):
         batch = run_batch(
