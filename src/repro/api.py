@@ -57,8 +57,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from .core import KraftwerkPlacer, PlacementResult, PlacerConfig
 from .evaluation import hpwl_meters
 from .geometry import PlacementRegion
@@ -74,9 +72,6 @@ from .netlist import (
 )
 from .netlist.bookshelf import bookshelf_key
 from .netlist.memo import DESIGNS, content_key
-
-#: Round-trip schema tag for :meth:`FlowResult.to_dict`.
-FLOW_SCHEMA = "repro-flow/1"
 
 #: Everything :func:`place` accepts as a design description.
 PlaceSource = Union[
@@ -216,6 +211,9 @@ class FlowResult:
     worker processes).  The placements' netlist pickles as its canonical
     text, and a process that still holds the design gets that very
     netlist back (see :mod:`repro.netlist.memo`).
+
+    Its JSON form is :meth:`summary`, scalars only; the coordinates are
+    saved with :func:`repro.netlist.save_placement`.
     """
 
     #: Resolved design name (netlist name or source string).
@@ -272,93 +270,6 @@ class FlowResult:
 
         return placement_hash(self.final)
 
-    def to_dict(self, *, placements: bool = True) -> Dict[str, Any]:
-        """Versioned round-trip form (schema ``repro-flow/1``).
-
-        Scalars, the config dict and the positions hash always travel;
-        with ``placements=True`` (the default) the coordinate arrays ride
-        along as lists so :meth:`from_dict` can rebuild the exact
-        placements.  This is the one serialization path shared by wire
-        frames, cache entries and checkpoint metadata.
-        """
-        data = self.summary()
-        data["schema"] = FLOW_SCHEMA
-        data["config"] = dict(self.config)
-        data["positions_hash"] = self.positions_hash()
-        if placements:
-            data["placement"] = {
-                "x": self.placement.x.tolist(),
-                "y": self.placement.y.tolist(),
-            }
-            data["legalized"] = (
-                {
-                    "x": self.legalized.x.tolist(),
-                    "y": self.legalized.y.tolist(),
-                }
-                if self.legalized is not None
-                else None
-            )
-        else:
-            data["placement"] = None
-            data["legalized"] = None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], *, netlist: Netlist) -> "FlowResult":
-        """Rebuild from :meth:`to_dict` (requires the matching *netlist*,
-        since placements only store coordinates)."""
-        schema = data.get("schema")
-        if schema != FLOW_SCHEMA:
-            raise ValueError(
-                f"expected schema {FLOW_SCHEMA!r}, got {schema!r}"
-            )
-        coords = data.get("placement")
-        if coords is None:
-            raise ValueError(
-                "flow dict has no coordinate arrays (serialized with "
-                "placements=False) — cannot rebuild a FlowResult"
-            )
-        placement = Placement(
-            netlist,
-            np.asarray(coords["x"], dtype=np.float64),
-            np.asarray(coords["y"], dtype=np.float64),
-        )
-        legal_coords = data.get("legalized")
-        legalized = (
-            Placement(
-                netlist,
-                np.asarray(legal_coords["x"], dtype=np.float64),
-                np.asarray(legal_coords["y"], dtype=np.float64),
-            )
-            if legal_coords is not None
-            else None
-        )
-        flow = cls(
-            name=str(data["name"]),
-            placement=placement,
-            legalized=legalized,
-            hpwl_m=float(data["hpwl_m"]),
-            legal_hpwl_m=(
-                float(data["legal_hpwl_m"])
-                if data.get("legal_hpwl_m") is not None
-                else None
-            ),
-            converged=bool(data.get("converged", False)),
-            iterations=int(data.get("iterations", 0)),
-            seconds=float(data.get("seconds", 0.0)),
-            timed_out=bool(data.get("timed_out", False)),
-            recovery_escalations=int(data.get("recovery_escalations", 0)),
-            seed=int(data.get("seed", 0)),
-            config=dict(data.get("config") or {}),
-        )
-        expected = data.get("positions_hash")
-        if expected is not None and flow.positions_hash() != expected:
-            raise ValueError(
-                "flow round-trip corrupted: positions hash mismatch "
-                f"(expected {expected})"
-            )
-        return flow
-
 
 def place(
     source: PlaceSource,
@@ -387,7 +298,9 @@ def place(
     skip the setup work — bit-identically, see ``core/reuse.py``.
     *iteration_hook* — ``hook(stats, placement)`` called once per placer
     transformation (the streaming-progress bridge); passing one opens the
-    placer's observer gate, ``None`` keeps the stats path closed entirely.
+    placer's observer gate.  So does an enabled *telemetry*, a verbose
+    config or a deadline; only with none of the four are the
+    per-iteration stats skipped.
 
     The call is deterministic: the same source, config and seed produce a
     bit-identical placement in any process; *iteration_hook* observes but
@@ -735,9 +648,11 @@ class Client:
         .ServiceJob` (then the per-job keywords here are ignored in favor
         of the spec's own).  ``subscribe=True`` registers for the progress
         stream *before* the job can dispatch, so :meth:`JobHandle.stream`
-        sees every iteration; it is also what opens the placer's
-        per-iteration observer gate at all.  A shed submit returns a
-        handle with ``admitted=False`` and the structured ``shed_reason``.
+        sees every iteration; without it the worker sends no progress
+        frames (it still computes the per-iteration stats: its telemetry
+        opens the placer's observer gate, ROADMAP item 5).  A shed submit
+        returns a handle with ``admitted=False`` and the structured
+        ``shed_reason``.
         """
         from .parallel import PlacementJob
         from .service.jobs import ServiceJob
@@ -896,7 +811,6 @@ def place_service(
 
 __all__ = [
     "Client",
-    "FLOW_SCHEMA",
     "FlowResult",
     "JobHandle",
     "PlaceSource",

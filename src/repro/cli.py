@@ -647,7 +647,7 @@ def _serve_spool(service, spool: Path, drain_idle: float) -> None:
             if record.state.value in ("queued", "running"):
                 pending = True
             elif record.job_id not in written:
-                summary = record.summary()
+                summary = record.to_dict()
                 _write_result_file(results, record.job_id, summary)
                 written.add(record.job_id)
                 _print_job_result(summary)
@@ -712,7 +712,7 @@ def cmd_serve(args) -> int:
                           file=sys.stderr)
             for record in service.drain():
                 if record.state.value not in ("shed",):
-                    _print_job_result(record.summary())
+                    _print_job_result(record.to_dict())
         elif args.spool:
             _serve_spool(service, Path(args.spool), args.drain_idle)
             service.drain()
@@ -820,7 +820,7 @@ def _submit_wire(args) -> int:
         if record is None:
             print(f"timed out waiting for {handle.job_id}", file=sys.stderr)
             return 1
-        _print_job_result(record.summary())
+        _print_job_result(record.to_dict())
         return 0 if record.state.value == "done" else 1
 
 

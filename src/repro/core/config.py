@@ -109,16 +109,6 @@ class PlacerConfig:
         where a bin is roughly one average cell.
     max_density_bins:
         Upper bound on bins per axis (keeps the FFT cheap on huge regions).
-    cg_tol / cg_max_iter:
-        Preconditioned conjugate-gradient termination.
-    cg_tol_loose:
-        Starting point of the adaptive CG tolerance schedule.  While the
-        density is fully uneven (early transformations) the per-iteration
-        systems are solved only to this relative residual — the next
-        density kick dwarfs the extra accuracy anyway — and the tolerance
-        tightens geometrically toward ``cg_tol`` as the distribution
-        settles.  Set to ``None`` (or any value ≤ ``cg_tol``) to disable
-        the schedule and solve every system to ``cg_tol``.
     anchor_weight:
         Tiny spring from every movable cell to the region center; regularizes
         the system when a netlist has few or no fixed cells.  ``None`` picks
@@ -215,9 +205,6 @@ class PlacerConfig:
     clique_threshold: int = 20
     density_bins: Optional[int] = None
     max_density_bins: int = 256
-    cg_tol: float = 1e-7
-    cg_tol_loose: Optional[float] = 1e-5
-    cg_max_iter: int = 1000
     anchor_weight: Optional[float] = None
     clamp_to_region: bool = True
     seed: int = 2207

@@ -45,6 +45,15 @@ from .quadratic import QuadraticSystem
 from .reuse import ReuseContext
 from .solver import conjugate_gradient, solve_with_recovery
 
+#: Conjugate-gradient termination: the relative residual every system is
+#: finally solved to, and the iteration cap per solve.
+CG_TOL = 1e-7
+CG_MAX_ITER = 1000
+#: Start of the adaptive tolerance schedule (see
+#: :meth:`KraftwerkPlacer._cg_tolerance`): the residual the systems are
+#: solved to while the density is fully uneven.
+CG_TOL_LOOSE = 1e-5
+
 # Hook signatures: called before each transformation.
 NetWeightHook = Callable[[int, Placement], Optional[np.ndarray]]
 ExtraDemandHook = Callable[[int, Placement], Optional[np.ndarray]]
@@ -550,12 +559,12 @@ class KraftwerkPlacer:
         cfg = self.config
         if not cfg.recovery:
             return conjugate_gradient(
-                A, b, x0=x0, tol=tol, max_iter=cfg.cg_max_iter,
+                A, b, x0=x0, tol=tol, max_iter=CG_MAX_ITER,
                 telemetry=self.telemetry, backend=self.backend,
             )
         result = solve_with_recovery(
-            A, b, x0=x0, tol=tol, strict_tol=cfg.cg_tol,
-            max_iter=cfg.cg_max_iter, telemetry=self.telemetry,
+            A, b, x0=x0, tol=tol, strict_tol=CG_TOL,
+            max_iter=CG_MAX_ITER, telemetry=self.telemetry,
             iteration=iteration, backend=self.backend,
         )
         self._escalations += len(result.escalations)
@@ -601,18 +610,14 @@ class KraftwerkPlacer:
         """Adaptive CG tolerance: loose while spreading, tight near the end.
 
         Early transformations move every cell by a sizable fraction of the
-        chip, so solving their systems to ``cg_tol`` buys nothing; the
+        chip, so solving their systems to ``CG_TOL`` buys nothing; the
         density kick of the next step dwarfs the residual.  The tolerance
-        interpolates geometrically from ``cg_tol_loose`` (fully uneven
-        density, the start) down to ``cg_tol`` (settled density, where the
+        interpolates geometrically from ``CG_TOL_LOOSE`` (fully uneven
+        density, the start) down to ``CG_TOL`` (settled density, where the
         converged placement must be resolved exactly).
         """
-        cfg = self.config
-        loose = cfg.cg_tol_loose
-        if loose is None or loose <= cfg.cg_tol:
-            return cfg.cg_tol
         t = min(1.0, max(0.0, unevenness))
-        return float(cfg.cg_tol * (loose / cfg.cg_tol) ** t)
+        return float(CG_TOL * (CG_TOL_LOOSE / CG_TOL) ** t)
 
     def _hold_step(
         self,
@@ -623,7 +628,7 @@ class KraftwerkPlacer:
         fy: np.ndarray,
         unevenness: float,
         anchor: float = 0.0,
-        tol: Optional[float] = None,
+        tol: float = CG_TOL,
         iteration: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """One transformation in hold mode.
@@ -638,8 +643,6 @@ class KraftwerkPlacer:
         """
         cfg = self.config
         tel = self.telemetry
-        if tol is None:
-            tol = cfg.cg_tol
         cg_iters = 0
         with tel.span("hold"):
             # Displacement response to the kick alone.  Each cell is

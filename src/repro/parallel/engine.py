@@ -105,8 +105,10 @@ def _execute_job(
     *progress*, when given **and** the payload carries
     ``stream_progress=True``, receives one JSON-safe dict per placer
     transformation — the worker half of the streaming-progress bridge.
-    Passing ``None`` (every batch path) keeps the placer's observer gate
-    closed: the per-iteration stats are never computed at all.
+    Only the hook and the progress messages are gated: the job's
+    telemetry recorder is always enabled, which opens the placer's
+    observer gate, so the per-iteration stats are computed either way
+    (ROADMAP item 5).
     """
     from contextlib import ExitStack
 

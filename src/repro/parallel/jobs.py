@@ -104,7 +104,8 @@ class JobResult:
     ``ok`` jobs carry the scalar flow summary (and, when the engine ran
     with ``keep_placements=True``, the full :class:`~repro.api.FlowResult`
     in ``flow``); failed jobs carry ``error``/``error_type`` instead and
-    never poison their siblings.
+    never poison their siblings.  The flow lives in memory only:
+    :meth:`to_dict` never writes it, and service records never hold one.
     """
 
     name: str
@@ -169,9 +170,15 @@ class JobResult:
             **run,
         )
 
-    def summary(self) -> Dict[str, Any]:
-        """JSON-safe scalar summary of this job."""
+    def to_dict(self) -> Dict[str, Any]:
+        """The job's one JSON form (schema ``repro-jobresult/1``).
+
+        Scalars and the positions hash, never coordinate arrays: batch
+        reports, service records, spool files and wire frames all carry
+        a job's outcome this way.  :meth:`from_dict` inverts it.
+        """
         return {
+            "schema": RESULT_SCHEMA,
             "name": self.name,
             "index": self.index,
             "seed": self.seed,
@@ -192,40 +199,14 @@ class JobResult:
             "positions_hash": self.positions_hash,
         }
 
-    def to_dict(self, *, placements: bool = False) -> Dict[str, Any]:
-        """Versioned round-trip form (wire frames, spool results).
-
-        With ``placements=True`` the embedded :class:`FlowResult` carries
-        its coordinate arrays (see :meth:`FlowResult.to_dict`); otherwise
-        only scalars and the positions hash travel.
-        """
-        data = self.summary()
-        data["schema"] = RESULT_SCHEMA
-        data["flow"] = (
-            self.flow.to_dict(placements=placements)
-            if self.flow is not None else None
-        )
-        return data
-
     @classmethod
-    def from_dict(cls, data: Dict[str, Any], *, netlist=None) -> "JobResult":
-        """Rebuild from :meth:`to_dict`.
-
-        The embedded flow is reconstructed only when it carried coordinate
-        arrays and *netlist* names the design they belong to; otherwise
-        ``flow`` stays ``None`` and the scalar summary stands alone.
-        """
+    def from_dict(cls, data: Dict[str, Any]) -> "JobResult":
+        """Rebuild from :meth:`to_dict`; ``flow`` is always ``None``."""
         schema = data.get("schema")
         if schema != RESULT_SCHEMA:
             raise ValueError(
                 f"expected schema {RESULT_SCHEMA!r}, got {schema!r}"
             )
-        flow = None
-        flow_data = data.get("flow")
-        if flow_data is not None and netlist is not None and (
-            flow_data.get("placement") is not None
-        ):
-            flow = FlowResult.from_dict(flow_data, netlist=netlist)
         return cls(
             name=str(data["name"]),
             index=int(data.get("index", 0)),
@@ -243,7 +224,6 @@ class JobResult:
             error_type=data.get("error_type"),
             trace_path=data.get("trace_path"),
             phases=dict(data.get("phases") or {}),
-            flow=flow,
             resumed_iteration=data.get("resumed_iteration"),
             positions_hash=data.get("positions_hash"),
         )
@@ -317,7 +297,7 @@ class BatchResult:
         """The merged batch report (schema ``repro-batch/1``), JSON-safe."""
         return {
             "schema": BATCH_SCHEMA,
-            "jobs": [j.summary() for j in self.jobs],
+            "jobs": [j.to_dict() for j in self.jobs],
             "n_jobs": len(self.jobs),
             "n_ok": len(self.ok_jobs),
             "n_failed": len(self.failed_jobs),

@@ -278,7 +278,11 @@ class AttemptRecord:
 
 @dataclass
 class JobRecord:
-    """Mutable supervisor-side state of one admitted job."""
+    """Mutable supervisor-side state of one admitted job.
+
+    ``result`` never holds a flow: records outlive the result cache's
+    byte budget, so the coordinate arrays stay in the cache.
+    """
 
     spec: ServiceJob
     seq: int
@@ -311,10 +315,24 @@ class JobRecord:
             return None
         return self.finished_at - self.submitted_at
 
-    def summary(self) -> Dict[str, Any]:
-        ok = self.state == JobState.DONE
+    def to_dict(self) -> Dict[str, Any]:
+        """The record's one JSON form (schema ``repro-job/1``).
+
+        Wire ``result`` frames, the in-process terminal event, the service
+        report's ``jobs``, spool result files and the CLI all use it:
+        identity, scheduling state, terminal outcome and the embedded
+        :meth:`JobResult.to_dict`.  The outcome scalars are repeated at
+        the top level for readers that predate the embedded result.
+        Worker-attempt timestamps are summarized, not round-tripped.
+        """
+        source = self.spec.job.source
+        result = self.result.to_dict() if self.result is not None else None
+        ok = self.state == JobState.DONE and result is not None
         return {
+            "schema": JOB_SCHEMA,
             "job_id": self.job_id,
+            "seq": self.seq,
+            "source": source if isinstance(source, str) else None,
             "state": self.state.value,
             "tenant": self.spec.tenant,
             "priority": self.spec.priority,
@@ -324,39 +342,16 @@ class JobRecord:
             if self.latency_s is not None else None,
             "failure_class": self.failure_class,
             "reason": self.reason,
-            "hpwl_m": self.result.hpwl_m if ok and self.result else None,
-            "legal_hpwl_m": self.result.legal_hpwl_m
-            if ok and self.result else None,
-            "final_hpwl_m": self.result.final_hpwl_m
-            if ok and self.result else None,
-            "iterations": self.result.iterations if ok and self.result else 0,
-            "error": self.result.error
-            if self.result is not None else self.reason,
-            "error_type": self.result.error_type
-            if self.result is not None else None,
             "cached": self.cached,
+            "signature": self.signature,
+            "result": result,
+            "hpwl_m": result["hpwl_m"] if ok else None,
+            "legal_hpwl_m": result["legal_hpwl_m"] if ok else None,
+            "final_hpwl_m": result["final_hpwl_m"] if ok else None,
+            "iterations": result["iterations"] if ok else 0,
+            "error": result["error"] if result is not None else self.reason,
+            "error_type": result["error_type"] if result is not None else None,
         }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Versioned round-trip form (schema ``repro-job/1``).
-
-        This is the record a ``repro-wire/1`` ``result`` frame carries and
-        checkpoint metadata stores: identity, terminal state, outcome and
-        the embedded :meth:`JobResult.to_dict` scalars (positions hash
-        included, coordinate arrays not).  Worker-attempt timestamps are
-        summarized, not round-tripped.
-        """
-        data = self.summary()
-        data["schema"] = JOB_SCHEMA
-        data["seq"] = self.seq
-        data["signature"] = self.signature
-        if isinstance(self.spec.job.source, str):
-            data["source"] = self.spec.job.source
-        data["result"] = (
-            self.result.to_dict(placements=False)
-            if self.result is not None else None
-        )
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":

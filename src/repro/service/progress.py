@@ -9,9 +9,9 @@ module extends that gating across the process boundary:
   threads an ``iteration_hook`` into the placer → one small dict per
   transformation travels worker → supervisor → broker → subscriber;
 - nobody subscribes → the payload flag stays ``False`` → the worker passes
-  ``iteration_hook=None`` → the placer's ``observe`` gate stays closed and
-  the per-iteration stats are never even computed.  Zero overhead is not a
-  throttle, it is the absence of the code path.
+  ``iteration_hook=None`` and sends no progress messages.  The stats are
+  still computed, because the worker's telemetry recorder opens the
+  placer's ``observe`` gate on its own (ROADMAP item 5).
 
 Callbacks run inline where the supervisor publishes (under its condition
 variable), so they must be non-blocking — enqueue and return.  Both

@@ -297,8 +297,8 @@ class PlacementService:
         dispatch, so the stream is complete from iteration one.  A job
         whose content signature is already in the result cache never
         dispatches at all: it goes terminal-DONE inside this call with the
-        stored flow (bit-identical to the run that seeded it) and
-        ``SubmitResult.cached=True``.
+        stored flow's scalars and positions hash (bit-identical to the run
+        that seeded it) and ``SubmitResult.cached=True``.
         """
         # Signature first and outside the lock: hashing a big netlist must
         # not serialize other submitters behind the condition variable.
@@ -331,7 +331,8 @@ class PlacementService:
             if cached_flow is not None:
                 record.cached = True
                 record.result = JobResult.from_flow(
-                    cached_flow, name=spec.job.name or spec.job_id, index=seq
+                    cached_flow, name=spec.job.name or spec.job_id,
+                    index=seq, keep_flow=False,
                 )
                 record.state = JobState.DONE
                 record.finished_at = time.monotonic()
@@ -592,9 +593,11 @@ class PlacementService:
                 ),
                 resume=attempt > 1,
             )
-            # Observer gating across the process boundary: the flag is
-            # read once at dispatch; no subscriber means the worker never
-            # opens the placer's per-iteration stats path at all.
+            # Progress gating across the process boundary: the flag is
+            # read once at dispatch; no subscriber means the worker sends
+            # no progress messages.  The worker still computes the
+            # per-iteration stats, because its telemetry opens the
+            # placer's observer gate (ROADMAP item 5).
             payload["stream_progress"] = self.broker.has(job_id)
             record.attempts.append(
                 AttemptRecord(
@@ -659,8 +662,8 @@ class PlacementService:
                 ):
                     self.cache.put(record.signature, result.flow)
                     # The cache owns the coordinate arrays from here; the
-                    # record keeps scalars + positions hash, as before the
-                    # cache existed (records outlive the LRU budget).
+                    # record keeps scalars + positions hash, like a hit's
+                    # record (records outlive the LRU budget).
                     result = replace(result, flow=None)
                 record.result = result
                 record.finished_at = now
@@ -809,7 +812,7 @@ class PlacementService:
                 "latency": latency_summary(latencies),
                 "queue_depth_max": self.queue_depth_max,
                 "events": dict(self.events.counters),
-                "jobs": [r.summary() for r in records],
+                "jobs": [r.to_dict() for r in records],
             }
 
 

@@ -4,18 +4,22 @@ The caching contract: the signature covers every input that can change
 the answer (netlist bytes, region geometry, config, seed, legalize,
 iteration cap) and nothing that cannot (checkpoint/verbosity knobs);
 uncacheable jobs (fault injection, unresolvable sources) sign as
-``None``; and the LRU respects its byte budget.  Round-trip tests pin
-the ``repro-flow/1`` / ``repro-job/1`` serialization both APIs and the
-wire protocol depend on.
+``None``; and the LRU respects its byte budget.  The cache alone holds
+coordinate arrays: a job record, cold or cache hit, carries scalars and
+the positions hash, so an evicted flow is freed.  Round-trip tests pin
+the ``repro-jobresult/1`` / ``repro-job/1`` dict forms that reports,
+spool files and the wire protocol share.
 """
 
+import gc
+import json
 import threading
+import weakref
 
-import numpy as np
 import pytest
 
 from repro import PlacementJob, place
-from repro.api import FLOW_SCHEMA, FlowResult, resolve_source
+from repro.api import resolve_source
 from repro.parallel.jobs import JobResult, RESULT_SCHEMA
 from repro.service import (
     JOB_SCHEMA,
@@ -135,6 +139,38 @@ class TestResultCache:
         with pytest.raises(ValueError, match="max_bytes"):
             ResultCache(max_bytes=0)
 
+    def test_evicted_flow_is_freed_although_a_hit_was_served(self):
+        """No record holds a flow, so eviction really frees the arrays."""
+        from repro.api import Client
+        from repro.service.cache import _flow_cost_bytes
+
+        config = ServiceConfig(
+            workers=1, tick_seconds=0.01,
+            retry=RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05),
+            cache_bytes=_flow_cost_bytes(tiny_flow(seed=1)),
+        )
+        with Client.local(service_config=config) as client:
+            cold = client.submit("tiny", seed=1, legalize=False,
+                                 max_iterations=4).result(timeout=120.0)
+            assert cold.state is JobState.DONE
+            hit = client.submit("tiny", seed=1, legalize=False,
+                                max_iterations=4)
+            assert hit.cached is True
+            hit_record = hit.result(timeout=30.0)
+            assert hit_record.state is JobState.DONE
+            flow = weakref.ref(client.service.cache.get(cold.signature))
+            assert flow() is not None
+            other = client.submit("tiny", seed=2, legalize=False,
+                                  max_iterations=4).result(timeout=120.0)
+            assert other.state is JobState.DONE
+            cache = client.service.cache
+            assert cache.stats()["evictions"] == 1
+            assert cache.get(cold.signature) is None
+            gc.collect()
+            assert flow() is None
+            assert cold.result.flow is None
+            assert hit_record.result.flow is None
+
 
 # ----------------------------------------------------------------------
 # Progress broker
@@ -177,32 +213,6 @@ class TestProgressBroker:
 # ----------------------------------------------------------------------
 # Serialization round trips
 # ----------------------------------------------------------------------
-class TestFlowResultRoundTrip:
-    def test_to_from_dict_bit_identical(self):
-        flow = tiny_flow(seed=7)
-        netlist, _region, _name = resolve_source("tiny")
-        data = flow.to_dict()
-        assert data["schema"] == FLOW_SCHEMA
-        clone = FlowResult.from_dict(data, netlist=netlist)
-        assert np.array_equal(clone.final.x, flow.final.x)
-        assert np.array_equal(clone.final.y, flow.final.y)
-        assert clone.positions_hash() == flow.positions_hash()
-        assert clone.final_hpwl_m == flow.final_hpwl_m
-
-    def test_from_dict_detects_corruption(self):
-        flow = tiny_flow(seed=7)
-        netlist, _region, _name = resolve_source("tiny")
-        data = flow.to_dict()
-        data["placement"]["x"][0] += 1e-6
-        with pytest.raises(ValueError, match="hash"):
-            FlowResult.from_dict(data, netlist=netlist)
-
-    def test_summary_only_dict_has_no_coordinates(self):
-        data = tiny_flow(seed=7).to_dict(placements=False)
-        assert data["placement"] is None
-        assert data["positions_hash"]  # the identity survives
-
-
 class TestJobRecordRoundTrip:
     def test_record_round_trip_via_service(self):
         from repro.api import Client
@@ -225,6 +235,13 @@ class TestJobRecordRoundTrip:
         assert clone.result.positions_hash == record.result.positions_hash
         assert clone.result.hpwl_m == record.result.hpwl_m
         assert clone.cached == record.cached
+        again = clone.to_dict()
+        assert again["result"] == data["result"]
+        for key in ("job_id", "seq", "source", "state", "tenant",
+                    "priority", "latency_s", "failure_class", "reason",
+                    "cached", "signature", "hpwl_m", "legal_hpwl_m",
+                    "final_hpwl_m", "iterations", "error", "error_type"):
+            assert again[key] == data[key], key
 
     def test_job_result_round_trip(self):
         flow = tiny_flow(seed=9)
@@ -234,12 +251,30 @@ class TestJobRecordRoundTrip:
             iterations=3, seconds=0.5,
             positions_hash=flow.positions_hash(),
         )
-        data = result.to_dict(placements=False)
+        data = result.to_dict()
         assert data["schema"] == RESULT_SCHEMA
         clone = JobResult.from_dict(data)
         assert clone.positions_hash == result.positions_hash
         assert clone.hpwl_m == result.hpwl_m
         assert clone.ok is True
+        # The dict form is the whole result: it round-trips to equality,
+        # through JSON, for a run that kept its flow and for a failure.
+        ran = JobResult.from_flow(
+            flow, name="j", index=0, seconds=0.5,
+            trace_path="j.trace.jsonl",
+            phases={"place": 0.25, "legalize": 0.125},
+            resumed_iteration=2,
+        )
+        failed = JobResult(
+            name="k", index=1, seed=9, ok=False, seconds=0.25,
+            error="solve diverged", error_type="NumericalHealthError",
+            trace_path="k.trace.jsonl", phases={"place": 0.125},
+        )
+        for result in (ran, failed):
+            data = result.to_dict()
+            clone = JobResult.from_dict(json.loads(json.dumps(data)))
+            assert clone.to_dict() == data
+            assert clone.flow is None
 
     def test_service_job_spec_round_trip(self):
         job = ServiceJob(

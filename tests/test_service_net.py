@@ -43,6 +43,21 @@ def server():
         yield srv
 
 
+def key_paths(value, prefix=""):
+    """Dotted paths of every key in nested dicts.  Lists and the
+    span-keyed ``phases`` map are leaves: their keys are data, not
+    shape."""
+    if not isinstance(value, dict):
+        return set()
+    paths = set()
+    for key, item in value.items():
+        path = f"{prefix}{key}"
+        paths.add(path)
+        if key != "phases":
+            paths |= key_paths(item, path + ".")
+    return paths
+
+
 def wire_submit(client, *, seed, job_id=None, max_iterations=6,
                 subscribe=False, timeout=120.0):
     handle = client.submit(
@@ -214,6 +229,22 @@ class TestWireCache:
                 serial.final_hpwl_m, rel=0, abs=0
             )
 
+    def test_cold_and_hit_result_frames_have_one_shape(self, server):
+        """A cache hit's result frame carries a record with exactly the
+        cold record's keys."""
+        with Client.connect(*server.address, token="shape") as client:
+            cold = wire_submit(client, seed=23)
+            assert cold.result(timeout=120.0).state.value == "done"
+            hit = wire_submit(client, seed=23)
+            assert hit.cached is True
+            assert hit.result(timeout=30.0).state.value == "done"
+            cold_record, hit_record = (
+                client._wire._entry(handle.job_id).record_data
+                for handle in (cold, hit)
+            )
+        assert hit_record["cached"] is True
+        assert key_paths(hit_record) == key_paths(cold_record)
+
     def test_cache_hit_flow_arrays_match_serial(self):
         """In-process: the cached FlowResult's arrays (not just the hash)
         equal a fresh serial run of the same spec."""
@@ -226,7 +257,9 @@ class TestWireCache:
             second = client.submit("tiny", seed=33, legalize=False,
                                    max_iterations=5)
             assert second.cached is True
-            flow = second.result(timeout=30.0).result.flow
+            record = second.result(timeout=30.0)
+            assert record.result.flow is None
+            flow = client.service.cache.get(record.signature)
             assert flow is not None
             serial = place("tiny", seed=33, legalize=False, max_iterations=5)
             assert np.array_equal(flow.final.x, serial.final.x)
