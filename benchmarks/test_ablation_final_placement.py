@@ -2,16 +2,17 @@
 
 Compares the legalizer choice (Abacus vs Tetris) and the detailed
 improvement stack (none / greedy swaps / + Domino window assignment) on the
-same global placement, isolating each stage's contribution.
+same global placement, isolating each stage's contribution.  Every stage
+runs the engine that ships: the vectorized Abacus and the vector improver.
 """
 
 import time
 
 import pytest
 
-from repro import AbacusLegalizer, DetailedImprover, TetrisLegalizer, hpwl_meters
+from repro import TetrisLegalizer, hpwl_meters
 from repro.evaluation import format_table
-from repro.legalize import DominoImprover
+from repro.legalize import DominoImprover, VectorAbacusLegalizer, VectorImprover
 
 from conftest import print_table
 
@@ -32,7 +33,7 @@ def pipeline_results(suite):
 
     abacus = record(
         "abacus only",
-        lambda: AbacusLegalizer(c.region).legalize(global_p).placement,
+        lambda: VectorAbacusLegalizer(c.region).legalize(global_p).placement,
     )
     record(
         "tetris only",
@@ -40,7 +41,7 @@ def pipeline_results(suite):
     )
     greedy = record(
         "abacus + greedy",
-        lambda: DetailedImprover(c.region).improve(abacus).placement,
+        lambda: VectorImprover(c.region).improve(abacus).placement,
     )
     record(
         "abacus + greedy + domino",

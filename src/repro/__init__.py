@@ -78,12 +78,7 @@ from .evaluation import (
     percent_improvement,
     total_overlap,
 )
-from .legalize import (
-    AbacusLegalizer,
-    DetailedImprover,
-    TetrisLegalizer,
-    final_placement,
-)
+from .legalize import TetrisLegalizer, final_placement
 from .timing import (
     ElmoreModel,
     StaticTimingAnalyzer,
@@ -176,8 +171,6 @@ __all__ = [
     "overlap_ratio",
     "percent_improvement",
     "total_overlap",
-    "AbacusLegalizer",
-    "DetailedImprover",
     "TetrisLegalizer",
     "final_placement",
     "ElmoreModel",

@@ -19,12 +19,6 @@ more.  The contract:
   imported when explicitly requested (``PlacerConfig.backend`` or the
   ``REPRO_BACKEND`` environment variable); a missing library raises an
   informative error instead of poisoning import time.
-
-The base class also carries generic real-to-real transforms (DCT-II and
-its inverse, via Makhoul's FFT factorization) so accelerator backends
-whose FFT stack lacks native DCT support — torch — share one tested
-implementation; numpy overrides them with ``scipy.fft``'s native r2r
-transforms.
 """
 
 from __future__ import annotations
@@ -37,10 +31,8 @@ import numpy as np
 class Backend:
     """Array-operation vocabulary of the hot path (see module docstring).
 
-    Subclasses implement the primitive hooks (:meth:`asarray`,
-    :meth:`fft`, :meth:`matvec`, ...); derived operations with a single
-    correct formulation (the Makhoul DCT) live here so every backend
-    shares them.
+    Subclasses implement every hook (:meth:`asarray`, :meth:`rfft2`,
+    :meth:`matvec`, ...).
     """
 
     #: Registry name ("numpy", "torch").
@@ -48,8 +40,6 @@ class Backend:
     #: True only for the numpy reference backend; hot-path call sites use
     #: this to keep the default path free of any conversion overhead.
     is_numpy: bool = False
-    #: Whether this backend can run the DCT spectral mode.
-    supports_dct: bool = True
 
     # ------------------------------------------------------------------
     # Conversion boundaries
@@ -96,12 +86,6 @@ class Backend:
     def concat(self, arrays: Sequence[Any], axis: int = 0) -> Any:
         raise NotImplementedError
 
-    def flip(self, a, axis: int) -> Any:
-        raise NotImplementedError
-
-    def moveaxis(self, a, src: int, dst: int) -> Any:
-        raise NotImplementedError
-
     def bincount(self, idx, weights, minlength: int) -> Any:
         raise NotImplementedError
 
@@ -129,54 +113,6 @@ class Backend:
 
     def irfft2(self, a, s) -> Any:
         """Inverse of :meth:`rfft2`; batched over leading axes."""
-        raise NotImplementedError
-
-    def fft(self, a) -> Any:
-        """Complex FFT along the last axis (generic-DCT building block)."""
-        raise NotImplementedError
-
-    def ifft(self, a) -> Any:
-        raise NotImplementedError
-
-    def real(self, a) -> Any:
-        raise NotImplementedError
-
-    def dct2(self, a, axis: int) -> Any:
-        """Unnormalized DCT-II along *axis* (scipy ``dct(type=2)`` scale).
-
-        Generic implementation: Makhoul's even-odd permutation + complex
-        FFT.  Exact to machine precision against ``scipy.fft.dct``; the
-        numpy backend overrides with the native r2r transform.
-        """
-        x = self.moveaxis(a, axis, -1)
-        n = x.shape[-1]
-        v = self.concat([x[..., ::2], self.flip(x[..., 1::2], -1)], axis=-1)
-        spectrum = self.fft(v)
-        k = np.arange(n)
-        twiddle = self.asarray_complex(2.0 * np.exp(-1j * np.pi * k / (2 * n)))
-        y = self.real(spectrum * twiddle)
-        return self.moveaxis(y, -1, axis)
-
-    def idct2(self, a, axis: int) -> Any:
-        """Inverse DCT-II along *axis* (matches ``scipy.fft.idct(type=2)``)."""
-        y = self.moveaxis(a, axis, -1)
-        n = y.shape[-1]
-        mirror = self.concat(
-            [self.zeros(tuple(y.shape[:-1]) + (1,)), self.flip(y[..., 1:], -1)],
-            axis=-1,
-        )
-        k = np.arange(n)
-        twiddle = self.asarray_complex(0.5 * np.exp(1j * np.pi * k / (2 * n)))
-        spectrum = (y - 1j * mirror) * twiddle
-        v = self.real(self.ifft(spectrum))
-        x = self.zeros(y.shape)
-        half = (n + 1) // 2
-        x[..., ::2] = v[..., :half]
-        x[..., 1::2] = self.flip(v[..., half:], -1)
-        return self.moveaxis(x, -1, axis)
-
-    def asarray_complex(self, a: np.ndarray) -> Any:
-        """Device complex128 array (twiddle factors for the generic DCT)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

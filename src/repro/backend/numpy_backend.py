@@ -25,14 +25,10 @@ except (ImportError, AttributeError):  # very old/new scipy layouts
 class NumpyBackend(Backend):
     name = "numpy"
     is_numpy = True
-    supports_dct = True
 
     # -- conversion ----------------------------------------------------
     def asarray(self, a):
         return np.asarray(a, dtype=np.float64)
-
-    def asarray_complex(self, a):
-        return np.asarray(a, dtype=np.complex128)
 
     def to_numpy(self, a):
         return np.asarray(a)
@@ -62,12 +58,6 @@ class NumpyBackend(Backend):
     def concat(self, arrays, axis=0):
         return np.concatenate(arrays, axis=axis)
 
-    def flip(self, a, axis):
-        return np.flip(a, axis)
-
-    def moveaxis(self, a, src, dst):
-        return np.moveaxis(a, src, dst)
-
     def bincount(self, idx, weights, minlength):
         return np.bincount(idx, weights=weights, minlength=minlength)
 
@@ -91,21 +81,6 @@ class NumpyBackend(Backend):
 
     def irfft2(self, a, s):
         return _fft.irfftn(a, s=s, axes=(-2, -1))
-
-    def fft(self, a):
-        return np.fft.fft(a, axis=-1)
-
-    def ifft(self, a):
-        return np.fft.ifft(a, axis=-1)
-
-    def real(self, a):
-        return np.real(a)
-
-    def dct2(self, a, axis):
-        return _fft.dct(a, type=2, axis=axis)
-
-    def idct2(self, a, axis):
-        return _fft.idct(a, type=2, axis=axis)
 
     # -- sparse --------------------------------------------------------
     def csr_from_scipy(self, A):

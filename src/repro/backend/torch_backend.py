@@ -3,9 +3,7 @@
 Torch is never imported at package import time — only when the backend is
 explicitly requested.  All arrays are float64 tensors on
 ``REPRO_TORCH_DEVICE`` (default ``"cpu"``; set to ``"cuda"`` to run the
-hot path on a GPU).  The DCT spectral mode uses the generic Makhoul
-transforms from :class:`~repro.backend.base.Backend` (torch has no native
-r2r transforms).
+hot path on a GPU).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .base import Backend
 class TorchBackend(Backend):
     name = "torch"
     is_numpy = False
-    supports_dct = True
 
     def __init__(self, device: str | None = None):
         import torch  # deferred: only requested backends pay the import
@@ -34,11 +31,6 @@ class TorchBackend(Backend):
     def asarray(self, a):
         return self.torch.asarray(
             a, dtype=self.torch.float64, device=self.device
-        )
-
-    def asarray_complex(self, a):
-        return self.torch.asarray(
-            a, dtype=self.torch.complex128, device=self.device
         )
 
     def to_numpy(self, a):
@@ -73,12 +65,6 @@ class TorchBackend(Backend):
     def concat(self, arrays, axis=0):
         return self.torch.cat(tuple(arrays), dim=axis)
 
-    def flip(self, a, axis):
-        return self.torch.flip(a, dims=(axis,))
-
-    def moveaxis(self, a, src, dst):
-        return self.torch.movedim(a, src, dst)
-
     def bincount(self, idx, weights, minlength):
         return self.torch.bincount(idx, weights=weights, minlength=minlength)
 
@@ -109,15 +95,6 @@ class TorchBackend(Backend):
 
     def irfft2(self, a, s):
         return self.torch.fft.irfftn(a, s=tuple(s), dim=(-2, -1))
-
-    def fft(self, a):
-        return self.torch.fft.fft(a, dim=-1)
-
-    def ifft(self, a):
-        return self.torch.fft.ifft(a, dim=-1)
-
-    def real(self, a):
-        return self.torch.real(a)
 
     # -- sparse --------------------------------------------------------
     def csr_from_scipy(self, A):

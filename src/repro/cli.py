@@ -108,10 +108,6 @@ def _add_placer_args(
                         help="array backend for the field/solve hot path "
                              "(default numpy; torch needs the optional "
                              "dependency installed)")
-    parser.add_argument("--spectral-mode", choices=["fft", "dct", "direct"],
-                        default=None, dest="spectral_mode",
-                        help="Poisson solver: fft (free-space, default), "
-                             "dct (Neumann boundaries), or direct O(n^2)")
     parser.add_argument("--seed", type=int, default=None,
                         help="placer jitter seed (default: config default)")
     parser.add_argument("--max-iterations", type=int, default=None,
@@ -241,7 +237,13 @@ def cmd_place(args) -> int:
     print(f"global placement: {result.hpwl_m:.4f} m in {iterations} "
           f"transformations ({time.perf_counter() - t0:.1f}s, {status})")
     if args.legalize:
-        placement = final_placement(placement, region)
+        placement = final_placement(
+            placement,
+            region,
+            bands=config.legalize_bands,
+            threads=config.legalize_threads,
+            improver_min_gain=config.improver_min_gain,
+        )
         print(f"final placement : {hpwl_meters(placement):.4f} m "
               f"(overlap {total_overlap(placement):.2f} um^2)")
     dist = distribution_stats(placement, region)

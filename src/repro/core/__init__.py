@@ -24,16 +24,11 @@ from .placer import (
     PlacementResult,
 )
 from .poisson import (
-    SPECTRAL_MODES,
-    DctPoissonSolver,
     ForceField,
     PoissonSolver,
     bilinear_sample,
-    compute_force_field,
     curl,
     divergence,
-    force_field_dct,
-    force_field_direct,
     force_field_fft,
     solver_for_grid,
 )
@@ -74,17 +69,12 @@ __all__ = [
     "IterationStats",
     "KraftwerkPlacer",
     "PlacementResult",
-    "SPECTRAL_MODES",
-    "DctPoissonSolver",
     "ForceField",
     "PoissonSolver",
     "solver_for_grid",
     "bilinear_sample",
-    "compute_force_field",
     "curl",
     "divergence",
-    "force_field_dct",
-    "force_field_direct",
     "force_field_fft",
     "AssembledSystem",
     "B2BSystem",

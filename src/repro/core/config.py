@@ -33,7 +33,6 @@ _ARG_FIELDS = {
     "multilevel": "multilevel_levels",
     "multilevel_refine": "multilevel_refine_iterations",
     "backend": "backend",
-    "spectral_mode": "spectral_mode",
     "legalize_bands": "legalize_bands",
     "legalize_threads": "legalize_threads",
     "improver_min_gain": "improver_min_gain",
@@ -168,12 +167,6 @@ class PlacerConfig:
         to numpy.  Accelerator backends are resolved lazily at placer
         construction and raise an actionable error when the library is
         missing; see ``docs/BACKENDS.md``.
-    spectral_mode:
-        Poisson-field formulation: ``"fft"`` (default, free-space
-        convolution via zero-padded real FFTs — the historical,
-        bit-identical path), ``"dct"`` (Neumann reduced real-to-real
-        transforms, no padding; fields differ near the region boundary) or
-        ``"direct"`` (O(N²) dense oracle — tests/debugging only).
     legalize_bands:
         Number of row bands the Abacus snap sweeps independently (merged
         deterministically; bit-identical to the serial sweep at every band
@@ -218,7 +211,6 @@ class PlacerConfig:
     multilevel_levels: int = 0
     multilevel_refine_iterations: int = 12
     backend: Optional[str] = None
-    spectral_mode: str = "fft"
     legalize_bands: int = 0
     legalize_threads: int = 1
     improver_min_gain: float = 0.0
@@ -257,11 +249,6 @@ class PlacerConfig:
             raise ValueError(
                 f"backend must be one of {BACKEND_NAMES} or None, "
                 f"got {self.backend!r}"
-            )
-        if self.spectral_mode not in ("fft", "dct", "direct"):
-            raise ValueError(
-                f"spectral_mode must be 'fft', 'dct' or 'direct', "
-                f"got {self.spectral_mode!r}"
             )
         if self.legalize_bands < 0:
             raise ValueError("legalize_bands must be >= 0 (0 = auto)")

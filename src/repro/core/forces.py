@@ -19,12 +19,7 @@ from ..netlist import Netlist, Placement
 from ..observability import NULL_TELEMETRY
 from .density import DensityModel, DensityResult
 from .health import _FAULT_HOOKS
-from .poisson import (
-    SPECTRAL_MODES,
-    ForceField,
-    compute_force_field,
-    solver_for_grid,
-)
+from .poisson import ForceField, solver_for_grid
 
 
 @dataclass
@@ -52,7 +47,6 @@ class ForceCalculator:
         netlist: Netlist,
         region: PlacementRegion,
         density_model: Optional[DensityModel] = None,
-        method: str = "fft",
         bins: Optional[int] = None,
         max_bins: int = 256,
         telemetry=NULL_TELEMETRY,
@@ -60,7 +54,6 @@ class ForceCalculator:
     ):
         self.netlist = netlist
         self.region = region
-        self.method = method
         self.telemetry = telemetry
         self.backend = backend if backend is not None else NUMPY
         self.density_model = density_model or DensityModel(
@@ -70,11 +63,9 @@ class ForceCalculator:
         # One spectral solver per calculator: the grid is fixed, so the
         # spectral plans are computed exactly once for the placer's
         # lifetime (and shared across same-grid calculators via the
-        # module cache, keyed by geometry, mode and backend).
-        self.poisson_solver = (
-            solver_for_grid(self.density_model.grid, method, self.backend)
-            if method in SPECTRAL_MODES
-            else None
+        # module cache, keyed by geometry and backend).
+        self.poisson_solver = solver_for_grid(
+            self.density_model.grid, self.backend
         )
 
     def reference_force(self, K: float) -> float:
@@ -108,10 +99,9 @@ class ForceCalculator:
             placement, extra_demand=extra_demand, telemetry=telemetry,
             demand=demand,
         )
-        field = compute_force_field(
-            density, method=self.method, telemetry=telemetry,
-            solver=self.poisson_solver, backend=self.backend,
-        )
+        with telemetry.span("poisson") as span:
+            span.add("bins", density.grid.nx * density.grid.ny)
+            field = self.poisson_solver.field(density)
         movable = self.netlist.movable_indices
         with telemetry.span("sample"):
             raw_fx, raw_fy = field.sample(

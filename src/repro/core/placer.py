@@ -165,7 +165,6 @@ class KraftwerkPlacer:
             return ForceCalculator(
                 netlist,
                 region,
-                method=self.config.spectral_mode,
                 bins=self.config.density_bins,
                 max_bins=self.config.max_density_bins,
                 telemetry=self.telemetry,
@@ -178,9 +177,8 @@ class KraftwerkPlacer:
             # region object is kept alive by the cache entry itself, so the
             # id() in the key cannot alias a different live region.
             forces_key = (
-                "forces", id(region), self.config.spectral_mode,
-                self.config.density_bins, self.config.max_density_bins,
-                self.config.backend,
+                "forces", id(region), self.config.density_bins,
+                self.config.max_density_bins, self.config.backend,
             )
             self.force_calc = reuse.get(netlist, forces_key, make_forces)
             # Telemetry is per-run, not part of the cached state.

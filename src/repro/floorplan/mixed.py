@@ -10,7 +10,9 @@ and the quadratic system.  What blocks need extra is the back end:
    (push overlapping blocks apart along the axis of least penetration),
 2. block bottoms snap to the row grid,
 3. the placed blocks become obstacles, rows are carved into segments around
-   them, and the standard cells legalize into the remaining segments.
+   them, and the standard cells go through the same final placement as a
+   flat design (:func:`~repro.legalize.final_placement`: the vectorized
+   Abacus snap, then the vectorized improver) in the remaining segments.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from ..core import KraftwerkPlacer, PlacementResult, PlacerConfig
 from ..evaluation.wirelength import hpwl_meters
 from ..geometry import PlacementRegion, Rect
-from ..legalize import AbacusLegalizer, DetailedImprover
+from ..legalize import final_placement
 from ..netlist import CellKind, Netlist, Placement
 
 
@@ -50,13 +52,11 @@ class MixedSizePlacer:
         region: PlacementRegion,
         config: Optional[PlacerConfig] = None,
         separation_iterations: int = 300,
-        improver_passes: int = 2,
     ):
         self.netlist = netlist
         self.region = region
         self.config = config or PlacerConfig()
         self.separation_iterations = separation_iterations
-        self.improver_passes = improver_passes
         self.block_indices = [
             int(i)
             for i in netlist.movable_indices
@@ -75,18 +75,9 @@ class MixedSizePlacer:
             self._snap_blocks_to_rows(placement)
             self._separate_blocks(placement)  # snap may reintroduce overlap
 
-        obstacles = self._obstacles(placement)
-        legalizer = AbacusLegalizer(self.region, obstacles=obstacles)
-        legal = legalizer.legalize(placement)
-        if not legal.success:
-            raise RuntimeError(
-                f"cell legalization around blocks failed for "
-                f"{len(legal.failed_cells)} cells"
-            )
-        improved = DetailedImprover(
-            self.region, max_passes=self.improver_passes, obstacles=obstacles
-        ).improve(legal.placement)
-        final = improved.placement
+        final = final_placement(
+            placement, self.region, obstacles=self._obstacles(placement)
+        )
 
         rects = [final.rect_of(i) for i in self.block_indices]
         overlap = 0.0

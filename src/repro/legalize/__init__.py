@@ -1,43 +1,33 @@
-"""Legalization and final placement (the flow role of Domino [17])."""
+"""Legalization and final placement (the flow role of Domino [17]).
 
-from typing import Optional, Sequence
+One production engine per stage: :class:`VectorAbacusLegalizer` snaps
+cells to rows and :class:`VectorImprover` polishes the legal placement;
+:class:`DominoImprover` optionally follows.  :class:`TetrisLegalizer` is
+kept as the ablation baseline.  The scalar Abacus the snap is pinned
+against lives in :mod:`repro.testing.oracles`.
+"""
+
+from typing import Sequence
 
 from ..geometry import PlacementRegion, Rect
 from ..netlist import Placement
 from ..observability import NULL_TELEMETRY
 from ..perf import improver_alloc_scope
 from .segments import Segment, build_segments, total_capacity
-from .abacus import AbacusLegalizer, LegalizationResult
 from .greedy import TetrisLegalizer
-from .detailed import DetailedImprover, ImprovementResult
 from .domino import DominoImprover
 from .extents import MoveEvaluator
-from .improver import VectorImprover
-from .vector import VectorAbacusLegalizer
+from .improver import ImprovementResult, VectorImprover
+from .vector import LegalizationResult, VectorAbacusLegalizer
 
-#: legalizer name -> class.  ``abacus`` is the vectorized engine;
-#: ``abacus-scalar`` is the original per-cluster implementation, kept as
-#: the bit-identical correctness oracle (``tests/test_legalize_vector.py``).
-LEGALIZERS = {
-    "abacus": VectorAbacusLegalizer,
-    "abacus-scalar": AbacusLegalizer,
-    "tetris": TetrisLegalizer,
-}
-
-#: improver name -> class (``none`` skips improvement entirely).
-IMPROVERS = {
-    "vector": VectorImprover,
-    "scalar": DetailedImprover,
-}
+#: Improvement passes of the final-placement polish.
+_IMPROVER_PASSES = 7
 
 
 def final_placement(
     placement: Placement,
     region: PlacementRegion,
     obstacles: Sequence[Rect] = (),
-    improver_passes: int = 7,
-    legalizer: str = "abacus",
-    improver: str = "vector",
     use_domino: bool = False,
     telemetry=NULL_TELEMETRY,
     bands: int = 0,
@@ -47,55 +37,34 @@ def final_placement(
     """Global placement -> legal, locally optimized placement.
 
     This is the "final placement step" the paper applies after global
-    placement (Section 6.1 uses Domino): Abacus-style legalization followed
-    by greedy exact-delta improvement, optionally topped by the
-    Domino-style window assignment (``use_domino=True``) which untangles
-    permutations beyond the reach of pairwise swaps.
+    placement (Section 6.1 uses Domino): Abacus legalization
+    (:class:`~repro.legalize.vector.VectorAbacusLegalizer`) followed by
+    greedy exact-delta improvement
+    (:class:`~repro.legalize.improver.VectorImprover`), optionally topped
+    by the Domino-style window assignment (``use_domino=True``) which
+    untangles permutations beyond the reach of pairwise swaps.
+    ``obstacles`` (placed blocks, in-core fixed cells) carve the rows into
+    segments for every stage.
 
-    ``legalizer`` selects the snap engine (``abacus`` — the vectorized
-    default, ``abacus-scalar`` — the scalar oracle, or ``tetris``);
-    ``improver`` selects the polish stage (``vector`` — batched exact
-    deltas, ``scalar`` — the reference implementation, or ``none``).
-
-    ``bands``/``threads`` drive the banded-parallel snap (``abacus``
-    only; bit-identical to the serial sweep at every setting) and
-    ``improver_min_gain`` the vector improver's relative early exit —
-    see :class:`~repro.legalize.vector.VectorAbacusLegalizer` and
-    :class:`~repro.legalize.improver.VectorImprover`.
+    ``bands``/``threads`` drive the banded-parallel snap (bit-identical to
+    the serial sweep at every setting) and ``improver_min_gain`` the
+    improver's relative early exit.
     """
-    if legalizer not in LEGALIZERS:
-        raise ValueError(
-            f"unknown legalizer {legalizer!r}; choose from {sorted(LEGALIZERS)}"
-        )
-    if improver != "none" and improver not in IMPROVERS:
-        raise ValueError(
-            f"unknown improver {improver!r}; choose from "
-            f"{sorted(IMPROVERS) + ['none']}"
-        )
     with telemetry.span("legalize") as leg_span:
         with telemetry.span("snap"):
-            snap_kwargs = {}
-            if legalizer == "abacus":
-                snap_kwargs = {"bands": bands, "threads": threads}
-            legal = LEGALIZERS[legalizer](
-                region, obstacles=obstacles, **snap_kwargs
+            legal = VectorAbacusLegalizer(
+                region, obstacles=obstacles, bands=bands, threads=threads
             ).legalize(placement)
         if not legal.success:
             raise RuntimeError(
                 f"legalization failed for {len(legal.failed_cells)} cells"
             )
         result = legal.placement
-        if improver != "none":
-            with telemetry.span("improve"), \
-                    improver_alloc_scope(len(result.x)):
-                improve_kwargs = {}
-                if improver == "vector":
-                    improve_kwargs = {"min_gain": improver_min_gain}
-                improved = IMPROVERS[improver](
-                    region, max_passes=improver_passes, obstacles=obstacles,
-                    **improve_kwargs
-                ).improve(result)
-                result = improved.placement
+        with telemetry.span("improve"), improver_alloc_scope(len(result.x)):
+            result = VectorImprover(
+                region, max_passes=_IMPROVER_PASSES, obstacles=obstacles,
+                min_gain=improver_min_gain,
+            ).improve(result).placement
         if use_domino:
             with telemetry.span("domino"):
                 result = DominoImprover(
@@ -109,16 +78,12 @@ __all__ = [
     "Segment",
     "build_segments",
     "total_capacity",
-    "AbacusLegalizer",
     "VectorAbacusLegalizer",
     "TetrisLegalizer",
     "LegalizationResult",
-    "DetailedImprover",
     "VectorImprover",
     "DominoImprover",
     "MoveEvaluator",
     "ImprovementResult",
-    "LEGALIZERS",
-    "IMPROVERS",
     "final_placement",
 ]

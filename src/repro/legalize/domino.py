@@ -10,7 +10,7 @@ positions), solves the assignment exactly (Hungarian method via
 to restore exact legality, and keeps the window's result only if the true
 HPWL of the affected nets improved.
 
-Compared to the greedy pair-swap improver (:mod:`repro.legalize.detailed`),
+Compared to the greedy pair-swap improver (:mod:`repro.legalize.improver`),
 window assignment escapes local minima that need 3+ simultaneous moves, at
 a higher cost per window.
 """
@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 
 from ..geometry import PlacementRegion
 from ..netlist import CellKind, Placement
-from .detailed import ImprovementResult
+from .improver import ImprovementResult
 
 
 @dataclass
@@ -223,7 +223,7 @@ class DominoImprover:
                     return False
         return True
 
-    # shared helpers (same contract as DetailedImprover)
+    # Exact HPWL of the nets a window touches, for its accept test.
     def _affected_nets(self, placement: Placement, cells: Sequence[int]) -> List[int]:
         nets: Set[int] = set()
         for i in cells:

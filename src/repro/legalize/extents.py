@@ -1,9 +1,9 @@
 """Batched exact net-extent evaluation for detailed-placement moves.
 
-The scalar improvers (:mod:`repro.legalize.detailed`,
-:mod:`repro.legalize.domino`) price every candidate move by re-walking the
-affected nets' pins in Python — exact, but ~30 us per move, which made the
-improvement pass the dominant cost of the whole flow.  This module prices
+A scalar improver (such as :mod:`repro.legalize.domino`) prices every
+candidate move by re-walking the affected nets' pins in Python — exact,
+but ~30 us per move, which would make the improvement pass the dominant
+cost of the whole flow.  This module prices
 *thousands* of candidate moves in a handful of numpy passes while keeping
 the deltas exact:
 

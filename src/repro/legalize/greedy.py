@@ -24,8 +24,8 @@ import numpy as np
 
 from ..geometry import PlacementRegion, Rect
 from ..netlist import CellKind, Placement
-from .abacus import LegalizationResult
 from .segments import build_segments
+from .vector import LegalizationResult, RowIndex
 
 _INF = float("inf")
 
@@ -39,9 +39,6 @@ class TetrisLegalizer:
         self.segments = build_segments(region, self.obstacles)
         if not self.segments:
             raise ValueError("no free segments to legalize into")
-        # Imported here to avoid a cycle (vector.py imports from abacus.py).
-        from .vector import RowIndex
-
         self.index = RowIndex(self.segments)
 
     def legalize(self, placement: Placement) -> LegalizationResult:

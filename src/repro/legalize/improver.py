@@ -1,9 +1,12 @@
-"""Vectorized detailed-placement improvement.
+"""Vectorized detailed-placement improvement: the production polish.
 
-Same move families as the scalar :class:`~repro.legalize.detailed.DetailedImprover`
-— adjacent-pair swaps, cross-row swaps, optimal median slides — but priced
-in batches with :class:`~repro.legalize.extents.MoveEvaluator` instead of
-per-move Python net walks.  Each pass:
+Greedy, legality-preserving local moves on a legal row placement, in the
+spirit of the Domino final placer [17]: adjacent-pair swaps, cross-row
+swaps between x-aligned cells of nearby rows, and optimal median slides
+(each cell to the 1-D HPWL optimum of its nets, clamped into its free
+span).  Moves are priced in batches with
+:class:`~repro.legalize.extents.MoveEvaluator` instead of per-move Python
+net walks.  Each pass:
 
 1. generates every candidate move of one family across all rows at once
    (from a freshly sorted row view, so spans are never stale),
@@ -19,14 +22,14 @@ per-move Python net walks.  Each pass:
 
 The dirty-net filter makes every applied delta exact and the frozen-window
 rule makes every accepted move legal, so each pass monotonically decreases
-HPWL just like the scalar improver — at a small fraction of the cost.
-After the first pass, candidate generation is restricted to a worklist of
-cells near the previous pass's accepted moves; passes repeat until no move
-is accepted or ``max_passes`` is reached.
+HPWL.  After the first pass, candidate generation is restricted to a
+worklist of cells near the previous pass's accepted moves; passes repeat
+until no move is accepted or ``max_passes`` is reached.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -34,10 +37,24 @@ import numpy as np
 from ..evaluation.wirelength import net_hpwl
 from ..geometry import PlacementRegion, Rect
 from ..netlist import CellKind, Placement
-from .detailed import ImprovementResult
 from .extents import MoveEvaluator
 
 _EPS = 1e-9
+
+
+@dataclass
+class ImprovementResult:
+    placement: Placement
+    passes: int
+    moves_accepted: int
+    hpwl_before_um: float
+    hpwl_after_um: float
+
+    @property
+    def improvement_percent(self) -> float:
+        if self.hpwl_before_um == 0:
+            return 0.0
+        return 100.0 * (self.hpwl_before_um - self.hpwl_after_um) / self.hpwl_before_um
 
 
 class _RowView:

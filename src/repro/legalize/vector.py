@@ -1,9 +1,14 @@
-"""Vectorized Abacus legalization engine.
+"""Vectorized Abacus legalization engine: the production snap.
 
-Same algorithm as the scalar :class:`~repro.legalize.abacus.AbacusLegalizer`
-— left-to-right sweep, candidate rows by vertical distance, cluster
-collapsing per segment — re-built on flat array state so it scales to
-100k+-cell netlists:
+Abacus is a left-to-right sweep over the cells in order of their desired
+left edge; each cell is tentatively appended to candidate segments near its
+global y, the segment with the lowest quadratic displacement cost wins, and
+the classic cluster-collapsing recurrence places the cells of a segment
+optimally for weighted quadratic displacement given the insertion order.
+The role in the flow matches Domino's [17]: turn a nearly-overlap-free
+global placement into a legal row placement while moving each cell as
+little as possible.  This engine runs that algorithm on flat array state so
+it scales to 100k+-cell netlists:
 
 - **Spatial row index**: candidate rows come from a two-pointer expansion
   around the cell's y (nearest row first, ties to the lower row), instead
@@ -30,24 +35,24 @@ collapsing per segment — re-built on flat array state so it scales to
   to one band, which *is* the serial sweep.
 
 The sweep itself (cells sorted by desired left edge) and every tie-breaking
-rule match the scalar implementation bit for bit; the cross-check suite
-(``tests/test_legalize_vector.py``) pins vectorized-vs-scalar positions on
-randomized instances, and ``tests/test_legalize_banded.py`` pins
-banded-vs-serial equality.  The scalar Abacus stays in the tree as the
-correctness oracle.
+rule match the per-cluster scalar Abacus bit for bit.  That scalar form is
+the correctness oracle :class:`repro.testing.oracles.AbacusLegalizer`: the
+cross-check suite (``tests/test_legalize_vector.py``) pins vectorized-vs-
+scalar positions on randomized instances, with and without obstacles, and
+``tests/test_legalize_banded.py`` pins banded-vs-serial equality.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry import PlacementRegion, Rect
 from ..netlist import CellKind, Placement
-from .abacus import LegalizationResult
 from .segments import Segment, build_segments
 
 _INF = float("inf")
@@ -62,6 +67,20 @@ _CELLS_PER_BAND = 50_000
 #: Keep at least this many rows per band so the escape rate stays low
 #: (cells stop within ``row_search_radius`` rows of their target).
 _MIN_ROWS_PER_BAND = 8
+
+
+@dataclass
+class LegalizationResult:
+    """A legal placement plus displacement statistics."""
+
+    placement: Placement
+    mean_displacement: float
+    max_displacement: float
+    failed_cells: List[int] = field(default_factory=list)
+
+    @property
+    def success(self) -> bool:
+        return not self.failed_cells
 
 
 class RowIndex:

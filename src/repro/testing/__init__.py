@@ -8,6 +8,11 @@ paths' point of view, but installs nothing unless explicitly asked to.
 :mod:`repro.testing.legal` is the shared legality oracle: one vectorized
 :func:`~repro.testing.legal.assert_legal` that every legalizer test calls,
 so "legal" means exactly one thing across the whole suite.
+
+:mod:`repro.testing.oracles` holds the reference forms of two production
+stages, used only to pin the fast engines: :func:`force_field_direct`, the
+literal Eq. 9 sum behind the FFT field, and :class:`AbacusLegalizer`, the
+scalar Abacus the vectorized snap must match bit for bit.
 """
 
 from .faults import (
@@ -28,8 +33,10 @@ from .faults import (
     slow_start,
 )
 from .legal import assert_legal
+from .oracles import AbacusLegalizer, force_field_direct
 
 __all__ = [
+    "AbacusLegalizer",
     "FAULT_FACTORIES",
     "FAULT_SPEC_ENV",
     "FaultInjection",
@@ -40,6 +47,7 @@ __all__ = [
     "corrupt_field",
     "env_faults",
     "fail_cg",
+    "force_field_direct",
     "hang_worker",
     "install_env_hooks",
     "install_process_faults",

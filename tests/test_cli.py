@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
+from repro import final_placement, hpwl_meters
 from repro.cli import build_parser, main
+from repro.netlist import load_netlist, load_placement, make_circuit
 
 
 class TestParser:
@@ -84,6 +87,28 @@ class TestCommands:
     def test_svg_needs_out(self):
         with pytest.raises(SystemExit):
             main(["place", "--circuit", "fract", "--scale", "0.5", "--svg"])
+
+    def test_legalize_honours_config_flags(self, tmp_path, capsys):
+        # ``place --legalize`` must legalize with the config's
+        # improver_min_gain (and bands/threads), like ``repro.place`` does.
+        design = ["place", "--circuit", "fract", "--scale", "0.5"]
+        glob = tmp_path / "global" / "fract"
+        assert main(design + ["--out", str(glob)]) == 0
+        legal = tmp_path / "legal" / "fract"
+        assert main(design + ["--legalize", "--improver-min-gain", "0.5",
+                              "--out", str(legal)]) == 0
+        capsys.readouterr()
+        netlist = load_netlist(glob.with_suffix(".netlist"))
+        region = make_circuit("fract", scale=0.5).region
+        global_p = load_placement(netlist, glob.with_suffix(".placement"))
+        cli_p = load_placement(netlist, legal.with_suffix(".placement"))
+        want = final_placement(global_p, region, improver_min_gain=0.5)
+        full = final_placement(global_p, region)
+        # The early exit must matter on this design, or the test is blind.
+        assert hpwl_meters(want) != hpwl_meters(full)
+        assert hpwl_meters(cli_p) == hpwl_meters(want)
+        assert np.array_equal(cli_p.x, want.x)
+        assert np.array_equal(cli_p.y, want.y)
 
 
 class TestErrorHandling:

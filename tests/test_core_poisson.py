@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ForceCalculator,
     PoissonSolver,
     bilinear_sample,
-    compute_force_field,
     curl,
-    force_field_direct,
     force_field_fft,
     solver_for_grid,
 )
 from repro.core.density import DensityResult
 from repro.geometry import Grid, Rect
+from repro.netlist import Placement
+from repro.testing import force_field_direct
 
 
 def _density_on(grid: Grid, spots) -> DensityResult:
@@ -48,14 +49,6 @@ class TestFftMatchesDirect:
         direct = force_field_direct(d)
         assert np.allclose(fft.fx, direct.fx, atol=1e-8)
         assert np.allclose(fft.fy, direct.fy, atol=1e-8)
-
-    def test_dispatch(self, grid):
-        d = _density_on(grid, [(4, 4, 10.0)])
-        assert np.allclose(
-            compute_force_field(d, "fft").fx, compute_force_field(d, "direct").fx
-        )
-        with pytest.raises(ValueError):
-            compute_force_field(d, "bogus")
 
 
 def _random_density(grid: Grid, rng) -> DensityResult:
@@ -117,11 +110,14 @@ class TestPoissonSolver:
         with pytest.raises(ValueError, match="cannot evaluate"):
             PoissonSolver(other).field(_random_density(grid, rng))
 
-    def test_dispatch_prefers_given_solver(self, grid, rng):
-        d = _random_density(grid, rng)
-        solver = PoissonSolver(grid)
-        field = compute_force_field(d, method="fft", solver=solver)
-        assert np.allclose(field.fx, force_field_direct(d).fx, atol=1e-8)
+    def test_force_calculator_uses_its_solver(self, tiny_circuit, rng):
+        nl, region = tiny_circuit.netlist, tiny_circuit.region
+        calc = ForceCalculator(nl, region)
+        assert calc.poisson_solver is solver_for_grid(calc.density_model.grid)
+        forces = calc.compute(Placement.random(nl, region, rng), K=0.2)
+        direct = force_field_direct(forces.density)
+        assert np.allclose(forces.field.fx, direct.fx, atol=1e-8)
+        assert np.allclose(forces.field.fy, direct.fy, atol=1e-8)
 
 
 class TestFieldLaws:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    AbacusLegalizer,
     NetlistBuilder,
     Placement,
     PlacementRegion,
@@ -13,6 +12,7 @@ from repro import (
 )
 from repro.baselines import MinCutConfig, MinCutPlacer
 from repro.legalize import DominoImprover
+from repro.testing import AbacusLegalizer
 
 
 @pytest.fixture()

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    AbacusLegalizer,
-    DetailedImprover,
     NetlistBuilder,
     Placement,
     PlacementRegion,
@@ -15,7 +13,8 @@ from repro import (
     total_overlap,
 )
 from repro.evaluation import hpwl
-from repro.legalize import build_segments, total_capacity
+from repro.legalize import VectorImprover, build_segments, total_capacity
+from repro.testing import AbacusLegalizer
 
 
 @pytest.fixture()
@@ -140,7 +139,7 @@ class TestDetailedImprovement:
         p = Placement.random(nl, region, rng)
         legal = AbacusLegalizer(region).legalize(p).placement
         before = hpwl(legal)
-        improved = DetailedImprover(region).improve(legal)
+        improved = VectorImprover(region).improve(legal)
         assert improved.hpwl_after_um <= before + 1e-6
         _assert_legal(improved.placement, region, nl)
 
@@ -152,7 +151,7 @@ class TestDetailedImprovement:
         for slot, cell in enumerate(order):
             xs[cell] = 5.0 + 10.0 * slot
         p = Placement(nl, xs, np.full(20, 45.0))
-        improved = DetailedImprover(region, max_passes=10).improve(p)
+        improved = VectorImprover(region, max_passes=10).improve(p)
         assert improved.moves_accepted > 0
         assert improved.improvement_percent > 0.0
 
@@ -163,12 +162,6 @@ class TestFinalPlacement:
         p = Placement.random(nl, region, rng)
         out = final_placement(p, region)
         _assert_legal(out, region, nl)
-
-    def test_unknown_legalizer(self, region, rng):
-        nl = _cells(5)
-        p = Placement.random(nl, region, rng)
-        with pytest.raises(ValueError):
-            final_placement(p, region, legalizer="bogus")
 
     def test_overfull_region_fails_loudly(self):
         tight = PlacementRegion.standard_cell(50.0, 20.0, row_height=10.0)

@@ -3,8 +3,8 @@
 One invariant, one oracle: whatever engine produced the placement,
 ``repro.testing.assert_legal`` must accept it — no overlaps, in-region,
 row-aligned, fixed cells untouched.  The suite drives all snap engines
-(vectorized Abacus, scalar Abacus, Tetris) and all polish engines (vector,
-scalar/detailed, Domino) across randomized circuits and the degenerate
+(the vectorized Abacus, its scalar oracle, Tetris) and all polish engines
+(the vector improver, Domino) across randomized circuits and the degenerate
 inputs that historically break legalizers: zero movable cells, a single
 overfull row, and cells wider than a row.
 """
@@ -16,9 +16,10 @@ import pytest
 
 from repro.geometry import PlacementRegion
 from repro.legalize import (
-    IMPROVERS,
-    LEGALIZERS,
     DominoImprover,
+    TetrisLegalizer,
+    VectorAbacusLegalizer,
+    VectorImprover,
     final_placement,
 )
 from repro.netlist import (
@@ -27,9 +28,20 @@ from repro.netlist import (
     Placement,
     generate_circuit,
 )
-from repro.testing import assert_legal
+from repro.testing import AbacusLegalizer, assert_legal
 
 SEEDS = [0, 1, 2, 7, 11]
+
+#: Every snap engine in the tree: the production one, its scalar oracle
+#: and the ablation baseline.
+LEGALIZER_CLASSES = [
+    pytest.param(VectorAbacusLegalizer, id="abacus"),
+    pytest.param(AbacusLegalizer, id="abacus-scalar"),
+    pytest.param(TetrisLegalizer, id="tetris"),
+]
+
+#: Every pass-based polish engine (Domino has its own tests below).
+IMPROVER_CLASSES = [pytest.param(VectorImprover, id="vector")]
 
 
 def _random_case(seed: int, num_cells: int = 240, num_rows: int = 8):
@@ -45,10 +57,10 @@ def _random_case(seed: int, num_cells: int = 240, num_rows: int = 8):
 
 class TestLegalizersProperty:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("name", sorted(LEGALIZERS))
-    def test_legalize_random_placements(self, name, seed):
+    @pytest.mark.parametrize("legalizer", LEGALIZER_CLASSES)
+    def test_legalize_random_placements(self, legalizer, seed):
         _, region, placement = _random_case(seed)
-        result = LEGALIZERS[name](region).legalize(placement)
+        result = legalizer(region).legalize(placement)
         if result.success:
             assert_legal(result.placement, region, reference=placement)
         else:
@@ -58,33 +70,33 @@ class TestLegalizersProperty:
             assert result.failed_cells
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("name", sorted(LEGALIZERS))
-    def test_relegalizing_legal_placement(self, name, seed):
+    @pytest.mark.parametrize("legalizer", LEGALIZER_CLASSES)
+    def test_relegalizing_legal_placement(self, legalizer, seed):
         # Every engine must accept an already-legal placement (produced by
-        # the Abacus reference) — the common handoff between stages.
+        # the production Abacus) — the common handoff between stages.
         _, region, placement = _random_case(seed)
-        legal = LEGALIZERS["abacus"](region).legalize(placement).placement
-        result = LEGALIZERS[name](region).legalize(legal)
+        legal = VectorAbacusLegalizer(region).legalize(placement).placement
+        result = legalizer(region).legalize(legal)
         assert result.success
         assert_legal(result.placement, region, reference=legal)
 
 
 class TestImproversProperty:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("name", sorted(IMPROVERS))
-    def test_improvers_preserve_legality(self, name, seed):
+    @pytest.mark.parametrize("improver", IMPROVER_CLASSES)
+    def test_improvers_preserve_legality(self, improver, seed):
         from repro.evaluation import hpwl_meters
 
         _, region, placement = _random_case(seed)
-        legal = LEGALIZERS["abacus"](region).legalize(placement).placement
-        improved = IMPROVERS[name](region, max_passes=2).improve(legal)
+        legal = VectorAbacusLegalizer(region).legalize(placement).placement
+        improved = improver(region, max_passes=2).improve(legal)
         assert_legal(improved.placement, region, reference=legal)
         assert hpwl_meters(improved.placement) <= hpwl_meters(legal) + 1e-12
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_domino_preserves_legality(self, seed):
         _, region, placement = _random_case(seed)
-        legal = LEGALIZERS["abacus"](region).legalize(placement).placement
+        legal = VectorAbacusLegalizer(region).legalize(placement).placement
         improved = DominoImprover(region).improve(legal)
         assert_legal(improved.placement, region, reference=legal)
 
@@ -118,44 +130,44 @@ def _row_netlist(widths, name="degenerate"):
 
 
 class TestDegenerateInputs:
-    @pytest.mark.parametrize("name", sorted(LEGALIZERS))
-    def test_zero_movable_cells(self, name):
+    @pytest.mark.parametrize("legalizer", LEGALIZER_CLASSES)
+    def test_zero_movable_cells(self, legalizer):
         netlist = _fixed_only_netlist()
         region = PlacementRegion.standard_cell(400.0, 100.0, 100.0)
         placement = Placement.at_center(netlist, region)
-        result = LEGALIZERS[name](region).legalize(placement)
+        result = legalizer(region).legalize(placement)
         assert result.success
         assert result.mean_displacement == 0.0
         assert_legal(result.placement, region, reference=placement)
 
-    @pytest.mark.parametrize("name", sorted(LEGALIZERS))
-    def test_single_overfull_row(self, name):
+    @pytest.mark.parametrize("legalizer", LEGALIZER_CLASSES)
+    def test_single_overfull_row(self, legalizer):
         # Five 100-um cells into one 400-um row: at least one must be
         # reported as failed — and never silently stacked on the others.
         netlist = _row_netlist([100.0] * 5)
         region = PlacementRegion.standard_cell(400.0, 100.0, 100.0)
         placement = Placement.at_center(netlist, region)
-        result = LEGALIZERS[name](region).legalize(placement)
+        result = legalizer(region).legalize(placement)
         assert not result.success
         assert len(result.failed_cells) >= 1
 
-    @pytest.mark.parametrize("name", sorted(LEGALIZERS))
-    def test_cell_wider_than_row(self, name):
+    @pytest.mark.parametrize("legalizer", LEGALIZER_CLASSES)
+    def test_cell_wider_than_row(self, legalizer):
         netlist = _row_netlist([500.0, 20.0])
         region = PlacementRegion.standard_cell(400.0, 200.0, 100.0)
         placement = Placement.at_center(netlist, region)
-        result = LEGALIZERS[name](region).legalize(placement)
+        result = legalizer(region).legalize(placement)
         assert 0 in result.failed_cells
         # The narrow cell must still land legally.
         assert result.placement.x[1] == result.placement.x[1]  # finite
 
-    @pytest.mark.parametrize("name", sorted(IMPROVERS))
-    def test_improvers_accept_empty_worklists(self, name):
+    @pytest.mark.parametrize("improver", IMPROVER_CLASSES)
+    def test_improvers_accept_empty_worklists(self, improver):
         # A single movable cell: no swaps or slides are possible, the
         # improver must terminate cleanly and keep the placement legal.
         netlist = _row_netlist([50.0])
         region = PlacementRegion.standard_cell(400.0, 100.0, 100.0)
         placement = Placement.at_center(netlist, region)
-        legal = LEGALIZERS["abacus"](region).legalize(placement).placement
-        improved = IMPROVERS[name](region, max_passes=2).improve(legal)
+        legal = VectorAbacusLegalizer(region).legalize(placement).placement
+        improved = improver(region, max_passes=2).improve(legal)
         assert_legal(improved.placement, region, reference=legal)

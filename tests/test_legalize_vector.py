@@ -2,10 +2,12 @@
 reference implementations.
 
 The vectorized Abacus (``repro.legalize.vector``) is required to be
-**bit-identical** to the scalar Abacus oracle (``repro.legalize.abacus``) —
-same clusters, same collapse arithmetic, same positions, down to the last
-ULP — across randomized circuits, with and without obstacles.  The batched
-move evaluator is likewise pinned to brute-force HPWL recomputation.
+**bit-identical** to the scalar Abacus oracle
+(``repro.testing.oracles.AbacusLegalizer``) — same clusters, same collapse
+arithmetic, same positions, down to the last ULP — across randomized
+circuits, with and without obstacles (including the block rectangles the
+floorplanner hands it).  The batched move evaluator is likewise pinned to
+brute-force HPWL recomputation.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import MixedSizePlacer, make_mixed_size_circuit
 from repro.evaluation import hpwl_meters
 from repro.geometry import Rect
 from repro.legalize import (
-    AbacusLegalizer,
     MoveEvaluator,
     VectorAbacusLegalizer,
     VectorImprover,
 )
-from repro.netlist import GeneratorSpec, Placement, generate_circuit
-from repro.testing import assert_legal
+from repro.netlist import CellKind, GeneratorSpec, Placement, generate_circuit
+from repro.testing import AbacusLegalizer, assert_legal
 
 SEEDS = [0, 1, 2, 5, 9]
 
@@ -40,6 +42,42 @@ def _case(seed: int, num_cells: int = 300, num_rows: int = 8,
     return circ.netlist, circ.region, placement
 
 
+def _blockage_case(seed: int):
+    # A roomier region (60 % utilization) so the blockages below leave
+    # enough capacity for a fully successful legalization.
+    _, region, placement = _case(seed, utilization=0.6)
+    b = region.bounds
+    w, h = b.xhi - b.xlo, b.yhi - b.ylo
+    # Small blockages (~6 % of the area) so the region keeps enough
+    # capacity for every cell — legality is asserted below.
+    obstacles = [
+        Rect(b.xlo + 0.30 * w, b.ylo + 0.25 * h,
+             b.xlo + 0.40 * w, b.ylo + 0.50 * h),
+        Rect(b.xlo + 0.70 * w, b.ylo + 0.50 * h,
+             b.xlo + 0.80 * w, b.ylo + 0.75 * h),
+    ]
+    return region, placement, obstacles
+
+
+def _floorplan_case():
+    """What the floorplanner hands the snap: the global placement with its
+    blocks separated and snapped to rows, and the block rectangles (many
+    rows tall, touching each other and the region edge) as obstacles."""
+    circ = make_mixed_size_circuit(
+        scale=0.12, num_blocks=4, block_area_fraction=0.3
+    )
+    result = MixedSizePlacer(circ.netlist, circ.region).place()
+    nl = circ.netlist
+    blocks = [
+        int(i) for i in nl.movable_indices
+        if nl.cells[int(i)].kind is CellKind.BLOCK
+    ]
+    placement = result.global_result.placement.copy()
+    placement.x[blocks] = result.placement.x[blocks]
+    placement.y[blocks] = result.placement.y[blocks]
+    return circ.region, placement, result.block_rects
+
+
 class TestVectorAbacusBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_scalar_exactly(self, seed):
@@ -54,21 +92,12 @@ class TestVectorAbacusBitIdentity:
         assert scalar.mean_displacement == vector.mean_displacement
         assert scalar.max_displacement == vector.max_displacement
 
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_matches_scalar_with_obstacles(self, seed):
-        # A roomier region (60 % utilization) so the blockages below leave
-        # enough capacity for a fully successful legalization.
-        _, region, placement = _case(seed, utilization=0.6)
-        b = region.bounds
-        w, h = b.xhi - b.xlo, b.yhi - b.ylo
-        # Small blockages (~6 % of the area) so the region keeps enough
-        # capacity for every cell — legality is asserted below.
-        obstacles = [
-            Rect(b.xlo + 0.30 * w, b.ylo + 0.25 * h,
-                 b.xlo + 0.40 * w, b.ylo + 0.50 * h),
-            Rect(b.xlo + 0.70 * w, b.ylo + 0.50 * h,
-                 b.xlo + 0.80 * w, b.ylo + 0.75 * h),
-        ]
+    @pytest.mark.parametrize("case", SEEDS[:3] + ["floorplan"])
+    def test_matches_scalar_with_obstacles(self, case):
+        if case == "floorplan":
+            region, placement, obstacles = _floorplan_case()
+        else:
+            region, placement, obstacles = _blockage_case(case)
         scalar = AbacusLegalizer(region, obstacles=obstacles).legalize(placement)
         vector = VectorAbacusLegalizer(region, obstacles=obstacles).legalize(
             placement

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import AbacusLegalizer, NetlistBuilder, Placement, PlacementRegion
+from repro import NetlistBuilder, Placement, PlacementRegion
 from repro.baselines import fm_bipartition
 from repro.evaluation import total_overlap
+from repro.testing import AbacusLegalizer
 from repro.timing import StaticTimingAnalyzer
 
 
