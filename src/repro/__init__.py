@@ -32,7 +32,7 @@ Sub-packages:
   and the ``repro bench`` regression harness.
 - :mod:`repro.service` — the fault-tolerant placement service: supervised
   worker pool, retry/backoff, checkpoint migration, admission control,
-  the ``repro-wire/1`` TCP front end, result cache and load harness.
+  the ``repro-wire/1`` TCP front end and the result cache.
 """
 
 from .backend import available_backends, resolve_backend
@@ -110,7 +110,6 @@ from .api import (
     JobHandle,
     place,
     place_many,
-    place_service,
     region_for_netlist,
     resolve_source,
 )
@@ -200,7 +199,6 @@ __all__ = [
     "JobHandle",
     "place",
     "place_many",
-    "place_service",
     "region_for_netlist",
     "resolve_source",
     "BatchResult",

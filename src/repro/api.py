@@ -14,8 +14,8 @@ file or a repro ``.netlist`` file — goes through three surfaces:
   progress, ``handle.result()``, ``cancel()`` — with two interchangeable
   transports, in-process (wrapping
   :class:`~repro.service.PlacementService`) and socket (the ``repro-wire/1``
-  protocol of :mod:`repro.service.net`).  ``place_many``/``place_service``/
-  ``serve_jobs`` are thin convenience wrappers over it.
+  protocol of :mod:`repro.service.net`).  ``place_many`` and
+  :func:`repro.service.serve_jobs` are thin convenience wrappers over it.
 
 Quickstart::
 
@@ -427,9 +427,9 @@ def _jobs_for(
     utilization,
     max_iterations,
 ):
-    """The sources/seeds fan-out shared by :func:`place_many` and
-    :func:`place_service`: one source x N seeds, N sources, or prebuilt
-    :class:`~repro.parallel.PlacementJob` specs used verbatim."""
+    """The sources/seeds fan-out of :func:`place_many`: one source x N
+    seeds, N sources, or prebuilt :class:`~repro.parallel.PlacementJob`
+    specs used verbatim."""
     from .parallel import PlacementJob
 
     if isinstance(config, PlacerConfig):
@@ -771,44 +771,6 @@ class Client:
         )
 
 
-def place_service(
-    sources: Union[PlaceSource, Sequence[Any]],
-    *,
-    seeds: Optional[Iterable[int]] = None,
-    config: Optional[Union[PlacerConfig, Dict[str, Any]]] = None,
-    legalize: bool = True,
-    scale: float = 0.2,
-    utilization: float = 0.8,
-    max_iterations: Optional[int] = None,
-    service_config=None,
-    events=None,
-) -> Dict[str, Any]:
-    """Place sources/seeds through the fault-tolerant service; returns
-    the service report (schema ``repro-service/2``).
-
-    Same fan-out semantics as :func:`place_many`, but jobs run under the
-    supervised worker pool of :mod:`repro.service`: a worker that dies or
-    hangs mid-job is restarted and the job retried (resuming from its
-    checkpoint when *service_config* sets ``checkpoint_dir``), so every
-    job either reports an HPWL bit-identical to a serial run or fails
-    with a structured, attributed reason.  *service_config* is a
-    :class:`~repro.service.ServiceConfig`; *events* an event log or a
-    JSONL path for the lifecycle trace.
-    """
-    from .service import serve_jobs
-
-    jobs = _jobs_for(
-        sources,
-        seeds=seeds,
-        config=config,
-        legalize=legalize,
-        scale=scale,
-        utilization=utilization,
-        max_iterations=max_iterations,
-    )
-    return serve_jobs(jobs, config=service_config, events=events)
-
-
 __all__ = [
     "Client",
     "FlowResult",
@@ -816,7 +778,6 @@ __all__ = [
     "PlaceSource",
     "place",
     "place_many",
-    "place_service",
     "region_for_netlist",
     "resolve_source",
 ]

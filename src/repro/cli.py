@@ -11,10 +11,11 @@ Commands
 ``convert``  convert between the repro text format and Bookshelf.
 ``bench``    place + legalize the generator circuits under telemetry and
              write the ``BENCH_kraftwerk.json`` regression report.
-``serve``    run the fault-tolerant placement service over a jobs file or
-             a spool directory (supervised workers, retries, migration).
-``submit``   drop one job spec into a ``repro serve --spool`` directory
-             (optionally waiting for its result file).
+``serve``    run the fault-tolerant placement service (supervised workers,
+             retries, migration) over a jobs file, or serve the
+             ``repro-wire/1`` TCP protocol until interrupted.
+``submit``   submit one job to a ``repro serve --listen`` server
+             (optionally waiting for its result).
 
 Examples::
 
@@ -30,8 +31,9 @@ Examples::
         --placement out/primary1.placement --bookshelf out/primary1
     python -m repro bench --sizes tiny,small
     python -m repro serve --jobs jobs.json --workers 2 --out report.json
-    python -m repro serve --spool /tmp/spool --workers 2 --drain-idle 5 &
-    python -m repro submit --spool /tmp/spool --circuit tiny --seed 3 --wait
+    python -m repro serve --listen 127.0.0.1:7878 --workers 2 &
+    python -m repro submit --connect 127.0.0.1:7878 --circuit tiny --seed 3 \
+        --wait
 """
 
 from __future__ import annotations
@@ -564,21 +566,6 @@ def _load_job_specs(path) -> list:
     return [dict(spec) for spec in data]
 
 
-def _write_result_file(results_dir: Path, job_id: str, payload: dict) -> Path:
-    """Atomically write one job's result JSON (write-tmp-then-rename)."""
-    import json as _json
-
-    results_dir.mkdir(parents=True, exist_ok=True)
-    final = results_dir / f"{job_id}.json"
-    tmp = results_dir / f".{job_id}.json.tmp"
-    tmp.write_text(
-        _json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    tmp.replace(final)
-    return final
-
-
 def _print_job_result(summary: dict) -> None:
     state = summary.get("state")
     job_id = summary.get("job_id")
@@ -594,73 +581,6 @@ def _print_job_result(summary: dict) -> None:
         print(f"  {job_id}: {state} ({reason})", flush=True)
 
 
-def _serve_spool(service, spool: Path, drain_idle: float) -> None:
-    """Serve job specs dropped into ``spool/incoming`` until idle.
-
-    Each ``*.json`` spec file is consumed (unlinked) once submitted; each
-    finished job writes ``spool/results/<id>.json`` atomically, so a
-    ``repro submit --wait`` poller never reads a torn result.  The loop
-    exits after *drain_idle* seconds with nothing queued, running or
-    arriving.
-    """
-    import json as _json
-
-    from .service import ServiceJob
-
-    incoming = spool / "incoming"
-    results = spool / "results"
-    incoming.mkdir(parents=True, exist_ok=True)
-    results.mkdir(parents=True, exist_ok=True)
-    written = set()
-    last_activity = time.monotonic()
-    print(f"serve: spooling from {incoming} "
-          f"(drain after {drain_idle:g}s idle)", flush=True)
-    while True:
-        now = time.monotonic()
-        for path in sorted(incoming.glob("*.json")):
-            last_activity = now
-            try:
-                spec = _json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                _write_result_file(results, path.stem, {
-                    "job_id": path.stem, "state": "failed",
-                    "failure_class": "rejected",
-                    "reason": f"malformed spec: {exc}",
-                })
-                written.add(path.stem)
-                path.unlink(missing_ok=True)
-                continue
-            path.unlink(missing_ok=True)
-            job_id = str(spec.pop("id", None) or path.stem)
-            if job_id in written or service.record(job_id) is not None:
-                print(f"  duplicate job id {job_id!r}; ignoring",
-                      file=sys.stderr)
-                continue
-            try:
-                service.submit(ServiceJob.from_spec(spec, job_id=job_id))
-            except ValueError as exc:
-                _write_result_file(results, job_id, {
-                    "job_id": job_id, "state": "failed",
-                    "failure_class": "rejected", "reason": str(exc),
-                })
-                written.add(job_id)
-        pending = False
-        for record in service.records():
-            if record.state.value in ("queued", "running"):
-                pending = True
-            elif record.job_id not in written:
-                summary = record.to_dict()
-                _write_result_file(results, record.job_id, summary)
-                written.add(record.job_id)
-                _print_job_result(summary)
-                last_activity = now
-        if pending:
-            last_activity = now
-        elif now - last_activity > drain_idle:
-            return
-        time.sleep(0.1)
-
-
 def cmd_serve(args) -> int:
     from .service import (
         PlacementService,
@@ -669,10 +589,9 @@ def cmd_serve(args) -> int:
         ServiceJob,
     )
 
-    modes = sum(map(bool, (args.jobs_file, args.spool, args.listen)))
-    if modes != 1:
-        raise SystemExit("serve needs exactly one of --jobs FILE, "
-                         "--spool DIR or --listen [HOST:]PORT")
+    if bool(args.jobs_file) == bool(args.listen):
+        raise SystemExit("serve needs exactly one of --jobs FILE or "
+                         "--listen [HOST:]PORT")
     retry_on = tuple(
         s.strip() for s in args.retry_on.split(",") if s.strip()
     )
@@ -715,9 +634,6 @@ def cmd_serve(args) -> int:
             for record in service.drain():
                 if record.state.value not in ("shed",):
                     _print_job_result(record.to_dict())
-        elif args.spool:
-            _serve_spool(service, Path(args.spool), args.drain_idle)
-            service.drain()
         else:
             from .service.net import PlacementServer
 
@@ -761,12 +677,6 @@ def cmd_serve(args) -> int:
             encoding="utf-8",
         )
         print(f"wrote {args.out}")
-    if args.record_bench:
-        from .observability.bench import merge_service_record
-
-        bench_record = {k: v for k, v in report.items() if k != "jobs"}
-        merge_service_record(args.record_bench, bench_record)
-        print(f"recorded service run in {args.record_bench}")
 
     total = report["n_submitted"] + parse_rejects
     bad = (report["n_failed"] + report["n_shed"]
@@ -795,9 +705,12 @@ def _parse_hostport(value: str):
         raise SystemExit(f"expected HOST:PORT, got {value!r}")
 
 
-def _submit_wire(args) -> int:
+def cmd_submit(args) -> int:
     from .api import Client
 
+    if not args.connect:
+        raise SystemExit("submit needs --connect HOST:PORT (a repro serve "
+                         "--listen server)")
     host, port = _parse_hostport(args.connect)
     source = _batch_source(args)
     with Client.connect(host, port, token=args.tenant) as client:
@@ -824,160 +737,6 @@ def _submit_wire(args) -> int:
             return 1
         _print_job_result(record.to_dict())
         return 0 if record.state.value == "done" else 1
-
-
-def cmd_submit(args) -> int:
-    import json as _json
-    import os
-
-    if bool(args.spool) == bool(args.connect):
-        raise SystemExit("submit needs exactly one of --spool DIR or "
-                         "--connect HOST:PORT")
-    if args.connect:
-        return _submit_wire(args)
-    spool = Path(args.spool)
-    incoming = spool / "incoming"
-    incoming.mkdir(parents=True, exist_ok=True)
-    source = _batch_source(args)
-    job_id = args.id or (
-        f"{Path(str(source)).stem}-s{args.seed}"
-        f"-{os.getpid()}-{time.time_ns() % 1_000_000_000}"
-    )
-    spec = {
-        "id": job_id,
-        "source": str(source),
-        "seed": args.seed,
-        "scale": args.scale,
-        "utilization": args.utilization,
-        "legalize": not args.no_legalize,
-        "priority": args.priority,
-        "tenant": args.tenant,
-    }
-    if args.max_iterations is not None:
-        spec["max_iterations"] = args.max_iterations
-    if args.timeout is not None:
-        spec["timeout_seconds"] = args.timeout
-    # Write-tmp-then-rename so the server's glob never sees a torn spec.
-    tmp = incoming / f".{job_id}.json.tmp"
-    final = incoming / f"{job_id}.json"
-    tmp.write_text(
-        _json.dumps(spec, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tmp.replace(final)
-    print(f"submitted {job_id} -> {final}")
-    if not args.wait:
-        return 0
-    result_path = spool / "results" / f"{job_id}.json"
-    deadline = time.monotonic() + args.wait_timeout
-    while time.monotonic() < deadline:
-        if result_path.exists():
-            summary = _json.loads(result_path.read_text(encoding="utf-8"))
-            _print_job_result(summary)
-            state = summary.get("state")
-            if state == "shed":
-                return _shed_exit(job_id, summary.get("reason"))
-            return 0 if state == "done" else 1
-        time.sleep(0.2)
-    print(f"timed out waiting for {result_path}", file=sys.stderr)
-    return 1
-
-
-def cmd_loadgen(args) -> int:
-    import json as _json
-
-    from .service.loadgen import LoadgenConfig, run_loadgen
-
-    tenants = {}
-    for part in args.tenants.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, weight = part.partition("=")
-        tenants[name] = float(weight) if weight else 1.0
-    if not tenants:
-        raise SystemExit("loadgen needs at least one tenant")
-    cfg = LoadgenConfig(
-        duration_s=args.duration,
-        rps=args.rps,
-        tenants=tenants,
-        seed=args.seed,
-        source=args.source,
-        unique_specs=args.unique_specs,
-        max_iterations=args.max_iterations,
-        legalize=not args.no_legalize,
-        drain_timeout_s=args.drain_timeout,
-    )
-
-    if args.connect:
-        host, port = _parse_hostport(args.connect)
-        record = run_loadgen(cfg, host, port)
-    else:
-        from .service import PlacementServer, ServiceConfig
-
-        config = ServiceConfig(
-            workers=args.workers,
-            max_queue_depth=args.max_queue_depth,
-            tenant_quota=args.tenant_quota,
-            cache_bytes=args.cache_bytes,
-        )
-        with PlacementServer(service_config=config) as server:
-            host, port = server.address
-            print(f"loadgen: serving on {host}:{port} "
-                  f"({args.workers} workers)", flush=True)
-            record = run_loadgen(cfg, host, port)
-
-    latency = record["latency"]
-    print(f"loadgen         : {record['offered']} offered @ "
-          f"{record['offered_rps']:g} rps over {record['wall_seconds']:g}s")
-    print(f"completed       : {record['completed']} done "
-          f"({record['cache_hits']} cache hits), {record['failed']} failed, "
-          f"{record['shed']} shed, {record['errors']} errors, "
-          f"{record['timed_out_waiting']} still waiting")
-    if latency["n"]:
-        print(f"latency         : p50 {latency['p50_s']:.3f}s, "
-              f"p99 {latency['p99_s']:.3f}s, p999 {latency['p999_s']:.3f}s "
-              f"over {latency['n']} jobs")
-    check = record["hash_check"]
-    print(f"hash check      : {check['distinct_specs']} distinct specs, "
-          f"consistent={check['consistent']}")
-
-    if args.out:
-        out = Path(args.out)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            _json.dumps(record, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.out}")
-    if args.record_bench:
-        from .observability.bench import merge_service_record
-
-        merge_service_record(args.record_bench, record)
-        print(f"recorded loadgen run in {args.record_bench}")
-
-    # Envelope assertions (the CI smoke): any violation is a non-zero
-    # exit so the job fails loudly instead of burying a regression.
-    bad = []
-    if not check["consistent"]:
-        bad.append(f"cache hits not bit-identical: {check}")
-    if record["errors"] or record["timed_out_waiting"]:
-        bad.append(f"{record['errors']} errors, "
-                   f"{record['timed_out_waiting']} jobs never finished")
-    if args.assert_p99 is not None and latency["n"] \
-            and latency["p99_s"] > args.assert_p99:
-        bad.append(f"p99 {latency['p99_s']:.3f}s > {args.assert_p99:g}s")
-    if args.assert_shed_rate is not None \
-            and (record["shed_rate"] or 0.0) > args.assert_shed_rate:
-        bad.append(f"shed rate {record['shed_rate']} > "
-                   f"{args.assert_shed_rate:g}")
-    if args.assert_min_hits is not None \
-            and record["cache_hits"] < args.assert_min_hits:
-        bad.append(f"only {record['cache_hits']} cache hits "
-                   f"(< {args.assert_min_hits})")
-    for line in bad:
-        print(f"loadgen FAIL    : {line}", file=sys.stderr)
-    return 1 if bad else 0
 
 
 def cmd_convert(args) -> int:
@@ -1122,16 +881,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--jobs", dest="jobs_file", metavar="FILE",
                          help="JSON jobs file (list of job specs); serve "
                               "them all, drain, and exit")
-    p_serve.add_argument("--spool", metavar="DIR",
-                         help="watch DIR/incoming/*.json for job specs and "
-                              "write DIR/results/<id>.json as jobs finish")
     p_serve.add_argument("--listen", metavar="[HOST:]PORT",
                          help="serve the repro-wire/1 TCP protocol until "
                               "interrupted (see docs/SERVICE.md)")
-    p_serve.add_argument("--drain-idle", type=float, default=10.0,
-                         dest="drain_idle", metavar="SECONDS",
-                         help="spool mode: exit after this long with no "
-                              "arrivals and nothing in flight (default 10)")
     p_serve.add_argument("--workers", type=int, default=2,
                          help="supervised worker processes (default 2)")
     p_serve.add_argument("--mp-context", default="auto", dest="mp_context",
@@ -1175,23 +927,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--events", metavar="PATH",
                          help="stream lifecycle events to this JSONL file")
     p_serve.add_argument("--out", help="write the service report JSON here")
-    p_serve.add_argument("--record-bench", metavar="PATH",
-                         dest="record_bench",
-                         help="merge the service record into this "
-                              "BENCH_kraftwerk.json")
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
         "submit",
-        help="submit one job: to a serve --spool directory or over TCP",
+        help="submit one job to a repro serve --listen server over TCP",
     )
     _add_design_args(p_submit)
-    p_submit.add_argument("--spool", metavar="DIR",
-                          help="the spool directory repro serve watches")
     p_submit.add_argument("--connect", metavar="HOST:PORT",
                           help="submit over the repro-wire/1 protocol to a "
                                "repro serve --listen server")
-    p_submit.add_argument("--id", help="job id (default: derived, unique)")
+    p_submit.add_argument("--id",
+                          help="job id (default: assigned by the server)")
     p_submit.add_argument("--seed", type=int, default=0)
     p_submit.add_argument("--max-iterations", type=int, default=None,
                           dest="max_iterations", metavar="N")
@@ -1206,69 +953,11 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SECONDS",
                           help="per-job wall-clock watchdog override")
     p_submit.add_argument("--wait", action="store_true",
-                          help="poll for the result file and print it")
+                          help="wait for the job's result and print it")
     p_submit.add_argument("--wait-timeout", type=float, default=300.0,
                           dest="wait_timeout", metavar="SECONDS",
                           help="--wait deadline (default 300)")
     p_submit.set_defaults(func=cmd_submit)
-
-    p_loadgen = sub.add_parser(
-        "loadgen",
-        help="open-loop Poisson load run against the placement service",
-    )
-    p_loadgen.add_argument("--connect", metavar="HOST:PORT",
-                           help="drive an already-listening server "
-                                "(default: spawn one for the run)")
-    p_loadgen.add_argument("--duration", type=float, default=30.0,
-                           metavar="SECONDS",
-                           help="arrival-schedule length (default 30)")
-    p_loadgen.add_argument("--rps", type=float, default=20.0,
-                           help="mean offered arrival rate (default 20)")
-    p_loadgen.add_argument("--source", default="tiny",
-                           help="bench size every job places (default tiny)")
-    p_loadgen.add_argument("--unique-specs", type=int, default=8,
-                           dest="unique_specs", metavar="N",
-                           help="distinct job seeds rotated through; repeats "
-                                "exercise the result cache (default 8)")
-    p_loadgen.add_argument("--max-iterations", type=int, default=8,
-                           dest="max_iterations", metavar="N",
-                           help="per-job iteration cap (default 8)")
-    p_loadgen.add_argument("--no-legalize", action="store_true",
-                           dest="no_legalize")
-    p_loadgen.add_argument("--seed", type=int, default=0,
-                           help="schedule RNG seed (default 0)")
-    p_loadgen.add_argument("--tenants", default="default",
-                           help="tenant mix NAME[=WEIGHT][,...] "
-                                "(default: one 'default' tenant)")
-    p_loadgen.add_argument("--drain-timeout", type=float, default=60.0,
-                           dest="drain_timeout", metavar="SECONDS",
-                           help="wait for stragglers after the last arrival "
-                                "(default 60)")
-    p_loadgen.add_argument("--workers", type=int, default=2,
-                           help="spawned server: worker processes "
-                                "(default 2)")
-    p_loadgen.add_argument("--max-queue-depth", type=int, default=64,
-                           dest="max_queue_depth", metavar="N")
-    p_loadgen.add_argument("--tenant-quota", type=int, default=None,
-                           dest="tenant_quota", metavar="N")
-    p_loadgen.add_argument("--cache-bytes", type=int,
-                           default=256 * 1024 * 1024, dest="cache_bytes",
-                           metavar="BYTES")
-    p_loadgen.add_argument("--assert-p99", type=float, default=None,
-                           dest="assert_p99", metavar="SECONDS",
-                           help="fail (exit 1) if p99 latency exceeds this")
-    p_loadgen.add_argument("--assert-shed-rate", type=float, default=None,
-                           dest="assert_shed_rate", metavar="FRACTION",
-                           help="fail if the shed fraction exceeds this")
-    p_loadgen.add_argument("--assert-min-hits", type=int, default=None,
-                           dest="assert_min_hits", metavar="N",
-                           help="fail with fewer result-cache hits")
-    p_loadgen.add_argument("--out", help="write the loadgen record here")
-    p_loadgen.add_argument("--record-bench", metavar="PATH",
-                           dest="record_bench",
-                           help="merge the loadgen record into this "
-                                "BENCH_kraftwerk.json")
-    p_loadgen.set_defaults(func=cmd_loadgen)
 
     p_convert = sub.add_parser("convert", help="export to Bookshelf")
     _add_design_args(p_convert)

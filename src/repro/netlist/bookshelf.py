@@ -314,7 +314,10 @@ def _read_nets(path: Path, builder: NetlistBuilder) -> None:
                 seen_output = True
             cleaned.append((node, direction, dx, dy))
         if len(cleaned) >= 1:
-            builder.add_net(name, cleaned)
+            try:
+                builder.add_net(name, cleaned)
+            except (KeyError, ValueError) as exc:  # unknown node, bad offset
+                raise _parse_error(path, head_lineno, exc.args[0]) from None
 
 
 def _read_scl(path: Path) -> PlacementRegion:

@@ -6,6 +6,7 @@ and produces an immutable :class:`~repro.netlist.netlist.Netlist`.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cell import Cell, CellKind
@@ -138,11 +139,17 @@ class NetlistBuilder:
             raise ValueError(f"net {net_name!r}: bad pin spec {spec!r}")
         if cell_name not in self._cell_index:
             raise KeyError(f"net {net_name!r} references unknown cell {cell_name!r}")
+        dx, dy = float(dx), float(dy)
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValueError(
+                f"net {net_name!r}: non-finite pin offset ({dx!r}, {dy!r}) "
+                f"on cell {cell_name!r}"
+            )
         return Pin(
             cell=self._cell_index[cell_name],
             direction=PinDirection(direction),
-            dx=float(dx),
-            dy=float(dy),
+            dx=dx,
+            dy=dy,
         )
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ default offset of ``(0, 0)``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -63,8 +64,12 @@ class Net:
     def __post_init__(self) -> None:
         if len(self.pins) < 1:
             raise ValueError(f"net {self.name!r} has no pins")
-        if self.weight <= 0:
-            raise ValueError(f"net {self.name!r} needs positive weight")
+        # NaN compares False with everything: "weight <= 0" lets it pass.
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(
+                f"net {self.name!r} needs a finite, positive weight, "
+                f"got {self.weight!r}"
+            )
         if len(self.driver_pins()) > 1:
             raise ValueError(f"net {self.name!r} has multiple drivers")
 

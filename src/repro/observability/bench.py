@@ -464,27 +464,6 @@ def merge_batch_record(
     keys are stripped on rewrite and the schema tag is upgraded, so one
     ``--record-bench`` pass migrates an old file in place.
     """
-    return _merge_top_record(bench_path, "batch", record)
-
-
-def merge_service_record(
-    bench_path: Union[str, Path], record: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Fold a placement-service run record into the bench report JSON.
-
-    ``repro serve --record-bench BENCH_kraftwerk.json`` (and the chaos CI
-    smoke) use this to regress the serving picture — p50/p99 job latency,
-    retry/restart/shed counts, worker churn — next to the kernel timings.
-    The record lands under a top-level ``"service"`` key and survives
-    ``write_bench_report`` rewrites exactly like the ``"batch"`` record.
-    """
-    return _merge_top_record(bench_path, "service", record)
-
-
-def _merge_top_record(
-    bench_path: Union[str, Path], key: str, record: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Insert *record* at top-level *key*, preserving the rest of the file."""
     bench_path = Path(bench_path)
     if bench_path.exists():
         data = json.loads(bench_path.read_text(encoding="utf-8"))
@@ -500,7 +479,7 @@ def _merge_top_record(
     # The full per-job trace lives in the run's own summary JSON; the
     # bench report keeps the headline scalars only.
     record.pop("jobs", None)
-    data[key] = record
+    data["batch"] = record
     if bench_path.parent != Path(""):
         bench_path.parent.mkdir(parents=True, exist_ok=True)
     bench_path.write_text(
@@ -544,16 +523,14 @@ def write_bench_report(
     }
     out_path = Path(out_path)
     if out_path.exists():
-        # Batch/service records merged via ``merge_batch_record`` /
-        # ``merge_service_record`` survive report regeneration; everything
-        # else is rewritten from this sweep.
+        # A batch record merged via ``merge_batch_record`` survives report
+        # regeneration; everything else is rewritten from this sweep.
         try:
             previous = json.loads(out_path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             previous = {}
-        for key in ("batch", "service"):
-            if key in previous:
-                report[key] = previous[key]
+        if "batch" in previous:
+            report["batch"] = previous["batch"]
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(

@@ -174,8 +174,8 @@ class JobResult:
         """The job's one JSON form (schema ``repro-jobresult/1``).
 
         Scalars and the positions hash, never coordinate arrays: batch
-        reports, service records, spool files and wire frames all carry
-        a job's outcome this way.  :meth:`from_dict` inverts it.
+        reports, service records and wire frames all carry a job's
+        outcome this way.  :meth:`from_dict` inverts it.
         """
         return {
             "schema": RESULT_SCHEMA,

@@ -25,8 +25,8 @@ Layering (each module only knows the one below):
 - :mod:`~repro.service.jobs` — job specs, retry policy, records;
 - :mod:`~repro.service.cache` — signature-keyed ``FlowResult`` LRU;
 - :mod:`~repro.service.progress` — per-job progress fan-out;
-- :mod:`~repro.service.net` — the ``repro-wire/1`` TCP front end;
-- :mod:`~repro.service.loadgen` — open-loop Poisson load harness.
+- :mod:`~repro.service.net` — the ``repro-wire/1`` TCP front end, the
+  one way into a ``repro serve`` process.
 
 Clients should reach all of this through :class:`repro.api.Client`.
 """
@@ -45,7 +45,6 @@ from .jobs import (
     SubmitResult,
     classify_failure,
 )
-from .loadgen import LOADGEN_SCHEMA, LoadgenConfig, run_loadgen
 from .net import (
     MAX_FRAME_BYTES,
     PlacementServer,
@@ -65,8 +64,6 @@ __all__ = [
     "JOB_SCHEMA",
     "JobRecord",
     "JobState",
-    "LOADGEN_SCHEMA",
-    "LoadgenConfig",
     "MAX_FRAME_BYTES",
     "PROGRESS_EVENT",
     "PlacementServer",
@@ -88,6 +85,5 @@ __all__ = [
     "WorkerPool",
     "classify_failure",
     "job_signature",
-    "run_loadgen",
     "serve_jobs",
 ]

@@ -29,8 +29,7 @@ the spec.
 
 :class:`ResultCache` is an LRU bounded by a **byte budget** (coordinate
 arrays dominate, so entries are costed by their placement ``nbytes``), and
-counts hits/misses/evictions so the service report and the load generator
-can regress the hit rate.
+counts hits/misses/evictions for the service report.
 """
 
 from __future__ import annotations

@@ -132,8 +132,8 @@ class ServiceJob:
 
     @classmethod
     def from_spec(cls, spec: Dict[str, Any], job_id: str) -> "ServiceJob":
-        """Build from a JSON job spec (the ``repro submit`` file format,
-        and the body of a ``repro-wire/1`` submit frame).
+        """Build from a JSON job spec (an entry of a ``repro serve --jobs``
+        file, or the body of a ``repro-wire/1`` submit frame).
 
         ``netlist_text`` carries an inline design in the canonical repro
         netlist format (see :func:`repro.netlist.io.netlist_to_string`) —
@@ -319,7 +319,7 @@ class JobRecord:
         """The record's one JSON form (schema ``repro-job/1``).
 
         Wire ``result`` frames, the in-process terminal event, the service
-        report's ``jobs``, spool result files and the CLI all use it:
+        report's ``jobs`` and the CLI all use it:
         identity, scheduling state, terminal outcome and the embedded
         :meth:`JobResult.to_dict`.  The outcome scalars are repeated at
         the top level for readers that predate the embedded result.

@@ -34,6 +34,13 @@ hit publishes its terminal ``result`` inside ``submit``, before the
 ``submitted`` reply is queued); the client demuxes by job id and
 tolerates that by construction.
 
+Frames are untrusted input, and a bad one gets an ``error`` reply, never
+a bare traceback.  A body that is not a UTF-8 JSON object still had its
+length prefix read in full, so the stream stays in sync: the server
+replies ``error`` and keeps reading.  A bad first frame (the handshake),
+or a length prefix over :data:`MAX_FRAME_BYTES` (the stream is out of
+sync), gets its ``error`` reply and then a hang-up.
+
 A client that disconnects mid-stream costs nothing: its reader loop
 unsubscribes every handle it registered, its outbox writer dies with the
 socket, and the broker additionally drops any callback that raises — the
@@ -55,10 +62,18 @@ WIRE_SCHEMA = "repro-wire/1"
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
+#: How long a hang-up waits for the writer to flush the last ``error``
+#: frame before it tears the connection down anyway.
+_HANG_UP_FLUSH_S = 5.0
 
 
 class WireError(RuntimeError):
     """A protocol violation or server-reported error."""
+
+
+class FrameDecodeError(WireError):
+    """A frame whose body is not a UTF-8 JSON object.  Its length prefix
+    was read in full, so the next frame starts in sync."""
 
 
 def send_frame(sock: socket.socket, obj: Dict[str, Any]) -> None:
@@ -82,15 +97,23 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
-    """Read one length-prefixed frame; raises ``EOFError`` on close."""
+    """Read one length-prefixed frame.
+
+    Raises ``EOFError`` on close, :class:`WireError` on a length prefix
+    over :data:`MAX_FRAME_BYTES`, and :class:`FrameDecodeError` on a body
+    that is not a UTF-8 JSON object.
+    """
     header = _recv_exact(sock, _LEN.size)
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} exceeds the maximum")
     body = _recv_exact(sock, length)
-    frame = json.loads(body.decode("utf-8"))
+    try:
+        frame = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, deep nesting
+        raise FrameDecodeError(f"frame body is not UTF-8 JSON: {exc}") from None
     if not isinstance(frame, dict):
-        raise WireError("frame body is not a JSON object")
+        raise FrameDecodeError("frame body is not a JSON object")
     return frame
 
 
@@ -249,9 +272,15 @@ class PlacementServer:
             ).start()
 
     def _drop(self, conn: _Connection) -> None:
-        """Tear one connection down; idempotent, callable from any side."""
-        if conn.closed.is_set():
-            return
+        """Tear one connection down; idempotent, callable from any side.
+
+        Keyed on membership, not on ``closed``: the writer sets ``closed``
+        when it exits, and the teardown must still run after that.
+        """
+        with self._conns_lock:
+            if conn not in self._conns:
+                return
+            self._conns.remove(conn)
         conn.closed.set()
         for handle in conn.subs.values():
             self.service.broker.unsubscribe(handle)
@@ -265,12 +294,22 @@ class PlacementServer:
             conn.sock.close()
         except OSError:
             pass
-        with self._conns_lock:
-            if conn in self._conns:
-                self._conns.remove(conn)
         self.service.events.emit(
             "client_disconnect", tenant=conn.tenant, port=conn.peer[1]
         )
+
+    def _hang_up(self, conn: _Connection, error: str) -> None:
+        """Send a last ``error`` frame; the caller then tears down.
+
+        The frame queues behind any frames already in the outbox, and the
+        writer exits after it.  Waiting for that (bounded) keeps the
+        teardown from cutting the reply off.
+        """
+        if conn.closed.is_set():
+            return
+        conn.outbox.put({"type": "error", "error": error})
+        conn.outbox.put(None)
+        conn.closed.wait(_HANG_UP_FLUSH_S)
 
     def _reader_loop(self, conn: _Connection) -> None:
         try:
@@ -278,15 +317,7 @@ class PlacementServer:
             if hello.get("type") != "hello" or (
                 hello.get("schema") != WIRE_SCHEMA
             ):
-                # Written directly, not via the outbox: teardown follows
-                # immediately and must not race the writer thread out of
-                # delivering the rejection.  Nothing else can be writing
-                # yet — no frame has been enqueued on this connection.
-                send_frame(conn.sock, {
-                    "type": "error",
-                    "error": f"expected a {WIRE_SCHEMA} hello frame",
-                })
-                return
+                raise WireError(f"expected a {WIRE_SCHEMA} hello frame")
             conn.tenant = str(hello.get("token") or "default")
             conn.enqueue({
                 "type": "hello", "schema": WIRE_SCHEMA,
@@ -296,9 +327,17 @@ class PlacementServer:
                 "client_connect", tenant=conn.tenant, port=conn.peer[1]
             )
             while not self._stop.is_set():
-                frame = recv_frame(conn.sock)
+                try:
+                    frame = recv_frame(conn.sock)
+                except FrameDecodeError as exc:
+                    conn.enqueue({"type": "error", "error": str(exc)})
+                    continue
                 self._handle(conn, frame)
-        except (EOFError, OSError, WireError):
+        except WireError as exc:
+            # A bad handshake, an oversized length prefix, or a connection
+            # already closed (then there is nobody left to tell).
+            self._hang_up(conn, str(exc))
+        except (EOFError, OSError):
             pass  # disconnect (clean or not): fall through to cleanup
         finally:
             self._drop(conn)
@@ -345,6 +384,10 @@ class PlacementServer:
         from .jobs import ServiceJob
 
         spec = dict(frame.get("spec") or {})
+        if "inject_faults" in spec:
+            # Fault hooks kill workers and create files at paths the spec
+            # names: in-process test machinery, never a remote client's.
+            raise ValueError("inject_faults is not accepted over the wire")
         job_id = str(spec.pop("id", None) or self._next_job_id(conn.tenant))
         job = ServiceJob.from_spec(spec, job_id=job_id)
         # The connection's auth token is the tenant; a spec cannot claim
@@ -452,7 +495,8 @@ class WireClient:
         self._jobs_lock = threading.Lock()
         self._closed = threading.Event()
         #: Optional hook fired from the reader thread on every terminal
-        #: ``result`` frame — the load generator's completion tap.
+        #: ``result`` frame, for a caller that times completions without
+        #: a thread per job.
         self.on_result = None
         self._reader = threading.Thread(
             target=self._reader_loop, daemon=True, name="repro-wire-client"
@@ -592,6 +636,7 @@ class WireClient:
 
 
 __all__ = [
+    "FrameDecodeError",
     "MAX_FRAME_BYTES",
     "PlacementServer",
     "WIRE_SCHEMA",

@@ -838,7 +838,7 @@ def serve_jobs(
         for index, job in enumerate(jobs):
             if isinstance(job, (PlacementJob, ServiceJob)):
                 client.submit(job)
-            else:  # a JSON job-spec dict (the ``repro submit`` format)
+            else:  # a JSON job-spec dict (the ``repro serve --jobs`` format)
                 spec = dict(job)
                 job_id = str(spec.pop("id", None) or f"j{index + 1:05d}")
                 client.submit(ServiceJob.from_spec(spec, job_id=job_id))

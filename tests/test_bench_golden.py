@@ -89,36 +89,10 @@ class TestCommittedReport:
     def test_runs_only_schema(self, report):
         assert report["schema"] == "repro-bench/2"
         # No per-run fields mirrored at the top level (the pre-v2 layout);
-        # the "batch" and "service" records are the only other keys
-        # allowed to ride along.
-        assert set(report) - {"batch", "service"} == {
+        # the "batch" record is the only other key allowed to ride along.
+        assert set(report) - {"batch"} == {
             "schema", "generated_at", "sizes", "deterministic", "runs"
         }
-
-    def test_service_record_shape(self, report):
-        service = report.get("service")
-        if service is None:
-            pytest.skip("no service record committed yet")
-        assert service["schema"] == "repro-service/2"
-        assert service["kind"] == "loadgen"
-        # Open-loop run actually sustained load and drained.
-        assert service["offered"] >= 1
-        assert service["completed"] >= 1
-        assert service["errors"] == 0
-        assert service["timed_out_waiting"] == 0
-        latency = service["latency"]
-        assert latency["n"] == service["completed"] - service["failed"]
-        assert latency["p50_s"] <= latency["p99_s"] <= latency["p999_s"]
-        # Bit-identity under caching: every repeat of a spec returned the
-        # same positions hash as its cold run.
-        assert service["cache_hits"] >= 1
-        assert service["hash_check"]["consistent"] is True
-        assert service["hash_check"]["conflicting_specs"] == []
-        # Client-side completion accounting agrees with the server's own
-        # report (the two are computed from independent counters).
-        server = service["server"]
-        assert server["n_done"] + server["n_failed"] == service["completed"]
-        assert server["n_cache_hits"] == service["cache_hits"]
 
     def test_deterministic_everywhere(self, report):
         assert report["deterministic"] is True

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro import PlacementJob, place, place_service
+from repro import PlacementJob, place
 from repro.observability.events import EventLog, latency_summary, percentile
 from repro.service import (
     AdmissionController,
@@ -580,12 +580,3 @@ class TestFacades:
         )
         assert report["n_done"] == 2
         assert {j["job_id"] for j in report["jobs"]} == {"j00001", "spec-job"}
-
-    def test_place_service_matches_place_many_semantics(self):
-        expected = [serial_hpwl(s) for s in (0, 1)]
-        report = place_service(
-            "tiny", seeds=[0, 1], legalize=False, max_iterations=8,
-            service_config=service_config(),
-        )
-        got = [j["final_hpwl_m"] for j in report["jobs"]]
-        assert got == expected

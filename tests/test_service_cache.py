@@ -7,8 +7,8 @@ uncacheable jobs (fault injection, unresolvable sources) sign as
 ``None``; and the LRU respects its byte budget.  The cache alone holds
 coordinate arrays: a job record, cold or cache hit, carries scalars and
 the positions hash, so an evicted flow is freed.  Round-trip tests pin
-the ``repro-jobresult/1`` / ``repro-job/1`` dict forms that reports,
-spool files and the wire protocol share.
+the ``repro-jobresult/1`` / ``repro-job/1`` dict forms that reports
+and the wire protocol share.
 """
 
 import gc

@@ -4,8 +4,10 @@ The wire contract under test: every frame is length-prefixed JSON; the
 first frame must be a versioned ``hello`` whose token *is* the tenant
 identity; a submitted spec either runs to a terminal ``result`` frame
 bit-identical to a serial run (cache hits included) or comes back
-``shed`` with a structured reason; and a client that vanishes mid-stream
-leaks nothing — no broker subscription, no blocked worker.
+``shed`` with a structured reason; a malformed frame or request gets an
+``error`` reply and never a traceback in a server thread; and a client
+that vanishes mid-stream leaks nothing — no broker subscription, no
+blocked worker.
 """
 
 import socket
@@ -14,6 +16,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import PlacementJob, place
 from repro.api import Client
@@ -41,6 +45,42 @@ def server():
     """One shared server (1 worker, cache on) for the happy-path tests."""
     with PlacementServer(service_config=service_config()) as srv:
         yield srv
+
+
+@pytest.fixture(scope="module")
+def idle_server():
+    """A server that must never start a job, and the exceptions that
+    reached ``threading.excepthook`` while it ran."""
+    errors = []
+    previous = threading.excepthook
+    threading.excepthook = lambda args: errors.append(args.exc_value)
+    try:
+        with PlacementServer(service_config=service_config()) as srv:
+            yield srv, errors
+    finally:
+        threading.excepthook = previous
+
+
+def raw_connect(address, token="raw"):
+    """A socket past the ``hello`` handshake, with no client thread."""
+    sock = socket.create_connection(address, timeout=10.0)
+    send_frame(sock, {"type": "hello", "schema": WIRE_SCHEMA,
+                      "token": token})
+    assert recv_frame(sock)["type"] == "hello"
+    return sock
+
+
+def send_body(sock, body):
+    """One frame with a correct length prefix around arbitrary bytes."""
+    sock.sendall(struct.pack(">I", len(body)) + body)
+
+
+def assert_still_serving(sock):
+    """The connection answers ``report``, and no job was ever started."""
+    send_frame(sock, {"type": "report"})
+    reply = recv_frame(sock)
+    assert reply["type"] == "report"
+    assert reply["report"]["n_submitted"] == 0
 
 
 def key_paths(value, prefix=""):
@@ -164,6 +204,177 @@ class TestHandshake:
             assert record.spec.tenant == "tenant-a"
         finally:
             client.close()
+
+
+# ----------------------------------------------------------------------
+# Untrusted frames: an error reply, never a traceback or a dead connection
+# ----------------------------------------------------------------------
+BAD_BODIES = {
+    "not-json": b"{not json",
+    "not-utf8": b"\xff\xfe",
+    "not-object": b"[1, 2]",
+    "too-deep": b"[" * 100_000,
+}
+
+#: Every frame type a client may send, and the handshake's.
+REQUEST_TYPES = ["hello", "submit", "subscribe", "cancel", "result", "report"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=16),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def requests(draw):
+    """A JSON object with a random ``type`` (the known ones included) and
+    random fields.  A ``submit`` spec never names a design, so
+    ``ServiceJob.from_spec`` rejects it before any placement starts."""
+    kind = draw(st.sampled_from(REQUEST_TYPES) | json_values)
+    frame = draw(st.dictionaries(
+        st.sampled_from(["job", "spec", "subscribe", "token", "schema"])
+        | st.text(max_size=8),
+        json_values, max_size=5,
+    ))
+    frame["type"] = kind
+    if kind == "submit":
+        frame["spec"] = draw(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=16)
+            | st.dictionaries(
+                st.text(max_size=12).filter(
+                    lambda key: key not in ("source", "netlist_text")
+                ),
+                json_values, max_size=5,
+            )
+        )
+    return frame
+
+
+class TestBadFrames:
+    @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=list(BAD_BODIES))
+    def test_bad_body_gets_error_and_connection_survives(
+        self, idle_server, body
+    ):
+        server, errors = idle_server
+        sock = raw_connect(server.address)
+        try:
+            send_body(sock, body)
+            assert recv_frame(sock)["type"] == "error"
+            assert_still_serving(sock)
+        finally:
+            sock.close()
+        assert errors == []
+
+    @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=list(BAD_BODIES))
+    def test_bad_first_frame_gets_error_then_hang_up(self, idle_server, body):
+        server, errors = idle_server
+        sock = socket.create_connection(server.address, timeout=10.0)
+        try:
+            send_body(sock, body)
+            assert recv_frame(sock)["type"] == "error"
+            with pytest.raises(EOFError):
+                recv_frame(sock)
+        finally:
+            sock.close()
+        assert errors == []
+
+    def test_oversized_length_prefix_gets_error_then_hang_up(
+        self, idle_server
+    ):
+        """The body of an oversized frame is never read, so the stream
+        is out of sync: the server answers, then hangs up."""
+        server, errors = idle_server
+        sock = raw_connect(server.address)
+        try:
+            sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            reply = recv_frame(sock)
+            assert reply["type"] == "error" and "exceeds" in reply["error"]
+            with pytest.raises(EOFError):
+                recv_frame(sock)
+        finally:
+            sock.close()
+        assert errors == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(body=st.binary(max_size=256))
+    def test_any_frame_body_is_answered(self, idle_server, body):
+        server, errors = idle_server
+        sock = raw_connect(server.address, token="fuzz-bytes")
+        try:
+            send_body(sock, body)
+            assert isinstance(recv_frame(sock), dict)
+            assert_still_serving(sock)
+        finally:
+            sock.close()
+        assert errors == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(frame=requests())
+    def test_any_request_is_answered(self, idle_server, frame):
+        server, errors = idle_server
+        sock = raw_connect(server.address, token="fuzz-requests")
+        try:
+            send_frame(sock, frame)
+            assert isinstance(recv_frame(sock), dict)
+            assert_still_serving(sock)
+        finally:
+            sock.close()
+        assert errors == []
+
+
+class TestSubmitRejects:
+    """Specs the server refuses at submit, before anything runs."""
+
+    def test_fault_hooks_refused(self, idle_server, tmp_path):
+        server, _ = idle_server
+        once = tmp_path / "once"
+        sock = raw_connect(server.address, token="faults")
+        try:
+            send_frame(sock, {
+                "type": "submit",
+                "spec": {"source": "tiny", "seed": 1, "legalize": False,
+                         "max_iterations": 4,
+                         "inject_faults": [["kill_worker", {
+                             "at_iteration": 1, "once_path": str(once),
+                         }]]},
+            })
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+        assert reply["type"] == "error"
+        assert "inject_faults" in reply["error"]
+        report = server.service.report()
+        assert report["n_submitted"] == 0
+        assert report["worker"]["deaths"] == 0
+        assert not once.exists()
+
+    def test_nan_net_weight_refused(self, idle_server):
+        from repro.netlist import NetlistBuilder, netlist_to_string
+
+        builder = NetlistBuilder("nan-weight")
+        builder.add_cell("a", 4.0, 4.0)
+        builder.add_cell("bb", 4.0, 4.0)
+        builder.add_net("n0", ["a", "bb"])
+        text = netlist_to_string(builder.build())
+        assert "net n0 1.0 " in text
+        server, _ = idle_server
+        sock = raw_connect(server.address, token="nan")
+        try:
+            send_frame(sock, {
+                "type": "submit",
+                "spec": {"netlist_text": text.replace("net n0 1.0 ",
+                                                      "net n0 nan "),
+                         "legalize": False, "max_iterations": 4},
+            })
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+        assert reply["type"] == "error"
+        assert "finite, positive weight" in reply["error"]
+        assert server.service.report()["n_submitted"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,23 @@ class TestNetlistConstructionRejects:
         with pytest.raises(ValueError, match="non-finite position"):
             Netlist("bad", [cell], [])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_nonfinite_net_weight_rejected(self, weight):
+        # NaN passes a "weight <= 0" check, and the placer would then fail
+        # its numerical health check at iteration 0.
+        b = NetlistBuilder("t")
+        b.add_cell("a", 1.0, 1.0)
+        b.add_cell("bb", 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite, positive weight"):
+            b.add_net("n", ["a", "bb"], weight=weight)
+
+    def test_nonfinite_pin_offset_rejected(self):
+        b = NetlistBuilder("t")
+        b.add_cell("a", 1.0, 1.0)
+        b.add_cell("bb", 1.0, 1.0)
+        with pytest.raises(ValueError, match="non-finite pin offset"):
+            b.add_net("n", ["a", ("bb", "input", float("nan"), 0.0)])
+
 
 class TestValidateNetlist:
     def _broken(self):
@@ -156,6 +173,16 @@ class TestBookshelfDiagnostics:
             "NetDegree : 3  n0\n  a O : 0 0\n  bb I : 0 0\n"
         ))
         with pytest.raises(ValueError, match=r"d\.nets:4: .*declares 3 pins"):
+            load_bookshelf(aux)
+
+    def test_unknown_net_node_names_file_and_line(self, tmp_path):
+        aux = self._write_minimal(tmp_path, nets=(
+            "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\n"
+            "NetDegree : 2  n0\n  a O : 0 0\n  ghost_node I : 0 0\n"
+        ))
+        with pytest.raises(
+            ValueError, match=r"d\.nets:4: .*unknown cell 'ghost_node'"
+        ):
             load_bookshelf(aux)
 
     def test_malformed_row_attribute(self, tmp_path):
