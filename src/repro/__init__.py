@@ -35,179 +35,98 @@ Sub-packages:
   the ``repro-wire/1`` TCP front end and the result cache.
 """
 
-from .backend import available_backends, resolve_backend
-from .geometry import Grid, PlacementRegion, Rect
-from .netlist import (
-    Cell,
-    CellKind,
-    GeneratedCircuit,
-    GeneratorSpec,
-    MCNC_PROFILES,
-    Net,
-    Netlist,
-    NetlistBuilder,
-    Pin,
-    PinDirection,
-    Placement,
-    TIMING_CIRCUITS,
-    bench_scale,
-    generate_circuit,
-    make_circuit,
-    make_mixed_size_circuit,
-    make_suite,
-)
-from .core import (
-    FAST_K,
-    HealthGuard,
-    KraftwerkPlacer,
-    NumericalHealthError,
-    PlacementResult,
-    PlacerCheckpoint,
-    PlacerConfig,
-    STANDARD_K,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .evaluation import (
-    distribution_stats,
-    format_table,
-    hpwl,
-    hpwl_meters,
-    is_evenly_distributed,
-    overlap_ratio,
-    percent_improvement,
-    total_overlap,
-)
-from .legalize import TetrisLegalizer, final_placement
-from .timing import (
-    ElmoreModel,
-    StaticTimingAnalyzer,
-    TimingDrivenPlacer,
-    exploitation_percent,
-    meet_timing_requirement,
-)
-from .baselines import (
-    GordianConfig,
-    GordianPlacer,
-    SpeedPlacer,
-    TimberWolfConfig,
-    TimberWolfPlacer,
-)
-from .congestion import CongestionDrivenPlacer, ProbabilisticRouter
-from .thermal import HeatDrivenPlacer, ThermalModel
-from .eco import NetlistDelta, eco_place
-from .floorplan import MixedSizePlacer
-from .observability import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    SpanRecorder,
-    Telemetry,
-    read_trace_jsonl,
-)
-from .api import (
-    Client,
-    FlowResult,
-    JobHandle,
-    place,
-    place_many,
-    region_for_netlist,
-    resolve_source,
-)
-from .parallel import (
-    BatchResult,
-    JobResult,
-    PlacementJob,
-    run_batch,
-)
-from .service import (
-    PlacementService,
-    RetryPolicy,
-    ServiceConfig,
-    ServiceJob,
-    serve_jobs,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "available_backends",
-    "resolve_backend",
-    "Grid",
-    "PlacementRegion",
-    "Rect",
-    "Cell",
-    "CellKind",
-    "GeneratedCircuit",
-    "GeneratorSpec",
-    "MCNC_PROFILES",
-    "Net",
-    "Netlist",
-    "NetlistBuilder",
-    "Pin",
-    "PinDirection",
-    "Placement",
-    "TIMING_CIRCUITS",
-    "bench_scale",
-    "generate_circuit",
-    "make_circuit",
-    "make_mixed_size_circuit",
-    "make_suite",
-    "FAST_K",
-    "HealthGuard",
-    "KraftwerkPlacer",
-    "NumericalHealthError",
-    "PlacementResult",
-    "PlacerCheckpoint",
-    "PlacerConfig",
-    "STANDARD_K",
-    "load_checkpoint",
-    "save_checkpoint",
-    "distribution_stats",
-    "format_table",
-    "hpwl",
-    "hpwl_meters",
-    "is_evenly_distributed",
-    "overlap_ratio",
-    "percent_improvement",
-    "total_overlap",
-    "TetrisLegalizer",
-    "final_placement",
-    "ElmoreModel",
-    "StaticTimingAnalyzer",
-    "TimingDrivenPlacer",
-    "exploitation_percent",
-    "meet_timing_requirement",
-    "GordianConfig",
-    "GordianPlacer",
-    "SpeedPlacer",
-    "TimberWolfConfig",
-    "TimberWolfPlacer",
-    "CongestionDrivenPlacer",
-    "ProbabilisticRouter",
-    "HeatDrivenPlacer",
-    "ThermalModel",
-    "NetlistDelta",
-    "eco_place",
-    "MixedSizePlacer",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "SpanRecorder",
-    "Telemetry",
-    "read_trace_jsonl",
-    "Client",
-    "FlowResult",
-    "JobHandle",
-    "place",
-    "place_many",
-    "region_for_netlist",
-    "resolve_source",
-    "BatchResult",
-    "JobResult",
-    "PlacementJob",
-    "run_batch",
-    "PlacementService",
-    "RetryPolicy",
-    "ServiceConfig",
-    "ServiceJob",
-    "serve_jobs",
-]
+# Every name resolves from its module on first use (PEP 562), so
+# ``import repro`` loads no sub-package, numpy or scipy, and a process
+# loads only what it runs.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backend": ("available_backends", "resolve_backend"),
+    ".geometry": ("Grid", "PlacementRegion", "Rect"),
+    ".netlist": (
+        "Cell",
+        "CellKind",
+        "GeneratedCircuit",
+        "GeneratorSpec",
+        "MCNC_PROFILES",
+        "Net",
+        "Netlist",
+        "NetlistBuilder",
+        "Pin",
+        "PinDirection",
+        "Placement",
+        "TIMING_CIRCUITS",
+        "bench_scale",
+        "generate_circuit",
+        "make_circuit",
+        "make_mixed_size_circuit",
+        "make_suite",
+    ),
+    ".core": (
+        "FAST_K",
+        "HealthGuard",
+        "KraftwerkPlacer",
+        "NumericalHealthError",
+        "PlacementResult",
+        "PlacerCheckpoint",
+        "PlacerConfig",
+        "STANDARD_K",
+        "load_checkpoint",
+        "save_checkpoint",
+    ),
+    ".evaluation": (
+        "distribution_stats",
+        "format_table",
+        "hpwl",
+        "hpwl_meters",
+        "is_evenly_distributed",
+        "overlap_ratio",
+        "percent_improvement",
+        "total_overlap",
+    ),
+    ".legalize": ("TetrisLegalizer", "final_placement"),
+    ".timing": (
+        "ElmoreModel",
+        "StaticTimingAnalyzer",
+        "TimingDrivenPlacer",
+        "exploitation_percent",
+        "meet_timing_requirement",
+    ),
+    ".baselines": (
+        "GordianConfig",
+        "GordianPlacer",
+        "SpeedPlacer",
+        "TimberWolfConfig",
+        "TimberWolfPlacer",
+    ),
+    ".congestion": ("CongestionDrivenPlacer", "ProbabilisticRouter"),
+    ".thermal": ("HeatDrivenPlacer", "ThermalModel"),
+    ".eco": ("NetlistDelta", "eco_place"),
+    ".floorplan": ("MixedSizePlacer",),
+    ".observability": (
+        "NULL_TELEMETRY",
+        "NullTelemetry",
+        "SpanRecorder",
+        "Telemetry",
+        "read_trace_jsonl",
+    ),
+    ".api": (
+        "Client",
+        "FlowResult",
+        "JobHandle",
+        "place",
+        "place_many",
+        "region_for_netlist",
+        "resolve_source",
+    ),
+    ".parallel": ("BatchResult", "JobResult", "PlacementJob", "run_batch"),
+    ".service": (
+        "PlacementService",
+        "RetryPolicy",
+        "ServiceConfig",
+        "ServiceJob",
+        "serve_jobs",
+    ),
+})

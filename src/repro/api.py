@@ -45,22 +45,23 @@ import threading
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
-from .core import KraftwerkPlacer, PlacementResult, PlacerConfig
-from .evaluation import hpwl_meters
+# The placer is imported inside the functions that place or validate, so a
+# wire client (``Client.connect``) loads neither it nor scipy.
 from .geometry import PlacementRegion
-from .legalize import final_placement
 from .netlist import (
     GeneratedCircuit,
     Netlist,
@@ -72,6 +73,10 @@ from .netlist import (
 )
 from .netlist.bookshelf import bookshelf_key
 from .netlist.memo import DESIGNS, content_key
+
+if TYPE_CHECKING:
+    from .core.config import PlacerConfig
+    from .core.placer import PlacementResult
 
 #: Everything :func:`place` accepts as a design description.
 PlaceSource = Union[
@@ -266,7 +271,7 @@ class FlowResult:
         """SHA-256 over :attr:`final`'s coordinate bytes — the same digest
         the bench harness pins, so cache hits and cold runs compare
         bit-exactly without shipping arrays."""
-        from .observability.bench import placement_hash
+        from .netlist.placement import placement_hash
 
         return placement_hash(self.final)
 
@@ -306,6 +311,11 @@ def place(
     bit-identical placement in any process; *iteration_hook* observes but
     never perturbs the trajectory.
     """
+    from .core.config import PlacerConfig
+    from .core.placer import KraftwerkPlacer
+    from .evaluation.wirelength import hpwl_meters
+    from .legalize import final_placement
+
     netlist, resolved_region, name = resolve_source(
         source, region=region, utilization=utilization, scale=scale
     )
@@ -417,6 +427,15 @@ def place_many(
     )
 
 
+def _config_dict(config):
+    """A job spec's config: a :class:`~repro.core.config.PlacerConfig` as
+    its ``to_dict()`` form, a mapping or ``None`` as given.  Duck-typed, so
+    that a client that never places does not import the placer."""
+    if config is None or isinstance(config, Mapping):
+        return config
+    return config.to_dict()
+
+
 def _jobs_for(
     sources,
     *,
@@ -432,10 +451,8 @@ def _jobs_for(
     specs used verbatim."""
     from .parallel import PlacementJob
 
-    if isinstance(config, PlacerConfig):
-        config = config.to_dict()
     common = dict(
-        config=config,
+        config=_config_dict(config),
         legalize=legalize,
         scale=scale,
         utilization=utilization,
@@ -650,7 +667,7 @@ class Client:
         stream *before* the job can dispatch, so :meth:`JobHandle.stream`
         sees every iteration; without it the worker sends no progress
         frames (it still computes the per-iteration stats: its telemetry
-        opens the placer's observer gate, ROADMAP item 5).  A shed submit
+        opens the placer's observer gate, ROADMAP item 6).  A shed submit
         returns a handle with ``admitted=False`` and the structured
         ``shed_reason``.
         """
@@ -662,12 +679,10 @@ class Client:
         elif isinstance(source, PlacementJob):
             service_job = source
         else:
-            if isinstance(config, PlacerConfig):
-                config = config.to_dict()
             service_job = PlacementJob(
                 source=source,
                 seed=seed,
-                config=config,
+                config=_config_dict(config),
                 name=name,
                 legalize=legalize,
                 max_iterations=max_iterations,

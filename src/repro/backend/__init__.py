@@ -11,6 +11,9 @@ The public surface is tiny:
   is importable).
 - :data:`NUMPY` — the shared reference-backend instance.
 
+Names resolve on first use (see :mod:`repro._lazy`): the CLI parser reads
+:data:`BACKEND_NAMES` without loading numpy or ``scipy.fft``.
+
 See :mod:`repro.backend.base` for the protocol and the guarantees, and
 ``docs/BACKENDS.md`` for selection, install extras and parity bounds.
 """
@@ -18,19 +21,17 @@ See :mod:`repro.backend.base` for the protocol and the guarantees, and
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .base import Backend
-from .numpy_backend import NumpyBackend
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .base import Backend
 
 #: Names accepted by :func:`resolve_backend` (and ``PlacerConfig.backend``).
 BACKEND_NAMES = ("numpy", "torch")
 
-#: The always-on reference backend; hot-path call sites use this when no
-#: backend is threaded through, keeping the default path allocation-free.
-NUMPY = NumpyBackend()
-
-_INSTANCES: Dict[str, Backend] = {"numpy": NUMPY}
+_INSTANCES: Dict[str, Backend] = {}
 
 
 def resolve_backend(name: Optional[str] = None) -> Backend:
@@ -49,7 +50,11 @@ def resolve_backend(name: Optional[str] = None) -> Backend:
             f"unknown array backend {name!r}; choose from {BACKEND_NAMES}"
         )
     backend = _INSTANCES.get(name)
-    if backend is None:
+    if backend is not None:
+        return backend
+    if name == "numpy":
+        from .numpy_backend import NUMPY as backend
+    else:
         try:
             from .torch_backend import TorchBackend
 
@@ -60,7 +65,7 @@ def resolve_backend(name: Optional[str] = None) -> Backend:
                 f"installed (pip install repro[{name}]); the numpy backend "
                 f"is always available"
             ) from exc
-        _INSTANCES[name] = backend
+    _INSTANCES[name] = backend
     return backend
 
 
@@ -76,11 +81,8 @@ def available_backends() -> List[str]:
     return names
 
 
-__all__ = [
-    "BACKEND_NAMES",
-    "Backend",
-    "NUMPY",
-    "NumpyBackend",
-    "available_backends",
-    "resolve_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Backend",),
+    ".numpy_backend": ("NUMPY", "NumpyBackend"),
+})
+__all__ += ["BACKEND_NAMES", "available_backends", "resolve_backend"]

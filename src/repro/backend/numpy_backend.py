@@ -103,3 +103,8 @@ class NumpyBackend(Backend):
             A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out
         )
         return out
+
+
+#: The always-on reference backend; hot-path call sites use this when no
+#: backend is threaded through, keeping the default path allocation-free.
+NUMPY = NumpyBackend()

@@ -42,30 +42,21 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
+# Building the parser needs only argparse and the backend names; each
+# command imports what it runs, so ``--help`` loads neither numpy nor scipy.
 from .backend import BACKEND_NAMES
-from .core import KraftwerkPlacer, NumericalHealthError, PlacerConfig
-from .evaluation import distribution_stats, format_table, hpwl_meters, total_overlap
-from .geometry import PlacementRegion
-from .legalize import final_placement
-from .netlist import (
-    Netlist,
-    Placement,
-    ROW_HEIGHT,
-    load_netlist,
-    load_placement,
-    make_circuit,
-    save_bookshelf,
-    save_netlist,
-    save_placement,
-    validate_netlist,
-)
-from .timing import StaticTimingAnalyzer
+
+if TYPE_CHECKING:
+    from .geometry import PlacementRegion
+    from .netlist import Netlist
 
 
 def _load_design(args) -> Tuple[Netlist, PlacementRegion]:
     """Netlist + region from either --circuit or --netlist."""
+    from .netlist import load_netlist, make_circuit
+
     if args.circuit:
         generated = make_circuit(args.circuit, scale=args.scale)
         return generated.netlist, generated.region
@@ -186,6 +177,8 @@ def _print_progress(result, done: int, total: int) -> None:
 # Commands
 # ----------------------------------------------------------------------
 def cmd_stats(args) -> int:
+    from .evaluation import format_table
+
     netlist, region = _load_design(args)
     stats = netlist.stats()
     rows = [[key, value] for key, value in stats.items()]
@@ -196,6 +189,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_place(args) -> int:
+    from .core import KraftwerkPlacer, PlacerConfig
+    from .evaluation import distribution_stats, hpwl_meters, total_overlap
+    from .legalize import final_placement
+    from .netlist import save_netlist, save_placement, validate_netlist
+
     netlist, region = _load_design(args)
     netlist, report = validate_netlist(netlist, region=region, strict=args.strict)
     if report.issues:
@@ -269,6 +267,7 @@ def cmd_place(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    from .core import PlacerConfig
     from .parallel import PlacementJob, resolve_workers, run_batch
 
     source = _batch_source(args)
@@ -375,6 +374,8 @@ def cmd_sweep(args) -> int:
     import itertools
     import json as _json
 
+    from .core import PlacerConfig
+    from .evaluation import format_table
     from .parallel import PlacementJob, run_batch
 
     source = _batch_source(args)
@@ -456,6 +457,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_timing(args) -> int:
+    from .evaluation import format_table
+    from .netlist import load_placement
+    from .timing import StaticTimingAnalyzer
+
     netlist, region = _load_design(args)
     if not args.placement:
         raise SystemExit("timing needs --placement FILE")
@@ -479,11 +484,13 @@ def cmd_timing(args) -> int:
 
 
 def cmd_route(args) -> int:
+    from .congestion import PatternRouter
+    from .netlist import load_placement
+
     netlist, region = _load_design(args)
     if not args.placement:
         raise SystemExit("route needs --placement FILE")
     placement = load_placement(netlist, args.placement)
-    from .congestion import PatternRouter
 
     router = PatternRouter(
         region, bins=args.bins, tracks_per_edge=args.tracks
@@ -740,6 +747,8 @@ def cmd_submit(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from .netlist import load_placement, save_bookshelf
+
     netlist, region = _load_design(args)
     placement = (
         load_placement(netlist, args.placement) if args.placement else None
@@ -975,13 +984,16 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericalHealthError as exc:
+    except ArithmeticError as exc:
+        # Only a command that ran the placer can raise this, so the
+        # import below costs nothing new.
+        from .core.health import NumericalHealthError
+
+        if not isinstance(exc, NumericalHealthError):
+            raise
         print(f"error: numerical health check failed: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..backend import NUMPY, Backend
 from ..observability import NULL_TELEMETRY
@@ -245,11 +244,15 @@ def _try_direct(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     depending on the scipy backend; the ladder wants a uniform "this rung
     produced no finite solution" signal either way.
     """
+    # scipy.sparse.linalg loads only when a direct rung runs (as do the
+    # fallback and KKT solves below): healthy runs never reach one.
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        warnings.simplefilter("ignore", MatrixRankWarning)
         with np.errstate(all="ignore"):
             try:
-                x = spla.spsolve(A.tocsc(), b)
+                x = spsolve(A.tocsc(), b)
             except RuntimeError:
                 return np.full(A.shape[0], np.nan)
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -395,8 +398,10 @@ def solve_spd(
     )
     if result.converged:
         return result.x
+    from scipy.sparse.linalg import spsolve
+
     telemetry.add("direct_solves", 1)
-    return spla.spsolve(A.tocsc(), b)
+    return spsolve(A.tocsc(), b)
 
 
 def solve_kkt(
@@ -410,9 +415,11 @@ def solve_kkt(
     Used by the GORDIAN baseline for its center-of-gravity constraints.
     Returns the primal solution only.
     """
+    from scipy.sparse.linalg import spsolve
+
     n = C.shape[0]
     m = A.shape[0]
     kkt = sp.bmat([[C, A.T], [A, None]], format="csc")
     rhs = np.concatenate([-d, u])
-    solution = spla.spsolve(kkt, rhs)
+    solution = spsolve(kkt, rhs)
     return solution[:n]

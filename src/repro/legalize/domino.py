@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..geometry import PlacementRegion
 from ..netlist import CellKind, Placement
@@ -101,6 +100,10 @@ class DominoImprover:
 
     def _optimize_window(self, placement: Placement, cells: List[int]) -> int:
         """Assign the window's cells to its slots; 1 if an improvement stuck."""
+        # Imported here: Domino is off by default, and scipy.optimize is
+        # the largest import of the legalization stack.
+        from scipy.optimize import linear_sum_assignment
+
         nl = placement.netlist
         slots = [
             _Slot(float(placement.x[i]), float(placement.y[i])) for i in cells

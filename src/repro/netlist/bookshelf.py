@@ -19,6 +19,7 @@ structure and geometry but resets those attributes to defaults.
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -216,8 +217,17 @@ def _parse_error(path: Path, lineno: int, message: str) -> ValueError:
     return ValueError(f"{path.name}:{lineno}: {message}")
 
 
+def _finite(token: str) -> float:
+    """*token* as a float; ``ValueError`` unless it is a finite number."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token!r}")
+    return value
+
+
 def _read_nodes(path: Path) -> Tuple[Dict[str, Tuple[float, float]], set]:
     sizes: Dict[str, Tuple[float, float]] = {}
+    first_line: Dict[str, int] = {}
     fixed = set()
     for lineno, line in _data_lines(path):
         if line.startswith(("NumNodes", "NumTerminals")):
@@ -230,7 +240,18 @@ def _read_nodes(path: Path) -> Tuple[Dict[str, Tuple[float, float]], set]:
                 path, lineno,
                 f"malformed node record {line!r} (want: name width height)",
             ) from None
+        if name in sizes:
+            raise _parse_error(
+                path, lineno,
+                f"duplicate node {name!r} (first at line {first_line[name]})",
+            )
+        if not (math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0):
+            raise _parse_error(
+                path, lineno,
+                f"node {name!r} needs a finite, positive size, got {w} x {h}",
+            )
         sizes[name] = (w, h)
+        first_line[name] = lineno
         if "terminal" in parts[3:]:
             fixed.add(name)
     return sizes, fixed
@@ -243,14 +264,13 @@ def _read_pl(
     fixed = set()
     for lineno, line in _data_lines(path):
         parts = line.replace(":", " ").split()
-        if len(parts) < 3:
-            continue
         try:
-            name, xlo, ylo = parts[0], float(parts[1]), float(parts[2])
-        except ValueError:
+            name, xlo, ylo = parts[0], _finite(parts[1]), _finite(parts[2])
+        except (IndexError, ValueError):
             raise _parse_error(
                 path, lineno,
-                f"malformed placement record {line!r} (want: name x y ...)",
+                f"malformed placement record {line!r} (want: name x y ..., "
+                "with finite x and y)",
             ) from None
         if name not in sizes:
             raise _parse_error(
@@ -292,15 +312,16 @@ def _read_nets(path: Path, builder: NetlistBuilder) -> None:
             pin_lineno, pin_line = lines[i]
             parts = pin_line.replace(":", " ").split()
             i += 1
-            node = parts[0]
             direction = "output" if len(parts) > 1 and parts[1].upper() == "O" else "input"
             try:
+                node = parts[0]
                 dx = float(parts[2]) if len(parts) > 2 else 0.0
                 dy = float(parts[3]) if len(parts) > 3 else 0.0
-            except ValueError:
+            except (IndexError, ValueError):
                 raise _parse_error(
                     path, pin_lineno,
-                    f"malformed pin offset in {pin_line!r}",
+                    f"malformed pin record {pin_line!r} "
+                    "(want: node [I|O] : dx dy)",
                 ) from None
             pins.append((node, direction, dx, dy))
         # Bookshelf nets may list several outputs (e.g. bidirectional pads);
@@ -335,16 +356,16 @@ def _read_scl(path: Path) -> PlacementRegion:
                 parts = text.replace(":", " ").split()
                 try:
                     if parts[0] == "Coordinate":
-                        fields["y"] = float(parts[1])
+                        fields["y"] = _finite(parts[1])
                     elif parts[0] == "Height":
-                        fields["h"] = float(parts[1])
+                        fields["h"] = _finite(parts[1])
                     elif parts[0] == "SubrowOrigin":
-                        fields["x"] = float(parts[1])
+                        fields["x"] = _finite(parts[1])
                         if "NumSites" in parts:
                             k = parts.index("NumSites")
-                            fields["sites"] = float(parts[k + 1])
+                            fields["sites"] = _finite(parts[k + 1])
                     elif parts[0] == "Sitespacing":
-                        fields["spacing"] = float(parts[1])
+                        fields["spacing"] = _finite(parts[1])
                 except (IndexError, ValueError):
                     raise _parse_error(
                         path, lineno, f"malformed row attribute {text!r}"
@@ -356,6 +377,13 @@ def _read_scl(path: Path) -> PlacementRegion:
                     "CoreRow is missing Coordinate or Height",
                 )
             width = fields.get("sites", 0.0) * fields.get("spacing", 1.0)
+            if not (fields["h"] > 0 and width >= 0):
+                raise _parse_error(
+                    path, row_lineno,
+                    f"CoreRow needs a positive Height and a non-negative "
+                    f"width (NumSites x Sitespacing), got {fields['h']} "
+                    f"and {width}",
+                )
             rows.append(
                 Row(
                     index=index,

@@ -10,6 +10,7 @@ block/pad hierarchies.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,14 +70,42 @@ class Cell:
     index: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
+        self.check()
+
+    def check(self) -> None:
+        """Raise ``ValueError`` unless the fields describe a placeable cell.
+
+        Construction runs it, and so does every
+        :class:`~repro.netlist.netlist.Netlist` for each of its cells, which
+        catches a field changed after construction.  Sizes must be finite
+        and positive, a fixed cell's coordinates finite, and ``delay``,
+        ``input_cap`` and ``power`` finite: NaN compares False with
+        everything, so a ``width <= 0`` test alone lets it through.
+        """
+        name = self.name
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ValueError(
+                f"cell {name!r} has non-finite size {self.width} x {self.height}"
+            )
         if self.width <= 0 or self.height <= 0:
             raise ValueError(
-                f"cell {self.name!r} needs positive size, got {self.width} x {self.height}"
+                f"cell {name!r} has zero or negative size "
+                f"{self.width} x {self.height}"
             )
-        if self.fixed and (self.x is None or self.y is None):
-            raise ValueError(f"fixed cell {self.name!r} needs coordinates")
+        if self.fixed:
+            if self.x is None or self.y is None:
+                raise ValueError(f"fixed cell {name!r} needs coordinates")
+            if not (math.isfinite(self.x) and math.isfinite(self.y)):
+                raise ValueError(
+                    f"fixed cell {name!r} has non-finite position "
+                    f"({self.x}, {self.y})"
+                )
+        for field_name in ("delay", "input_cap", "power"):
+            value = getattr(self, field_name)
+            if not math.isfinite(value):
+                raise ValueError(f"cell {name!r} has non-finite {field_name} {value}")
         if self.delay < 0:
-            raise ValueError(f"cell {self.name!r} has negative delay")
+            raise ValueError(f"cell {name!r} has negative delay")
 
     @property
     def area(self) -> float:

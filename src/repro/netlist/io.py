@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import re
 from pathlib import Path
-from typing import List, Sequence, TextIO, Tuple, Union
+from typing import List, Optional, Sequence, TextIO, Tuple, Union
 
 from .builder import NetlistBuilder
 from .cell import Cell, CellKind
@@ -100,12 +100,23 @@ def save_netlist(netlist: Netlist, path: PathLike) -> None:
     Path(path).write_text(netlist_to_string(netlist), encoding="utf-8")
 
 
-def parse_netlist(stream: TextIO) -> Netlist:
-    """Parse a netlist from a repro-format text stream."""
+def parse_netlist(stream: TextIO, *, source: Optional[str] = None) -> Netlist:
+    """Parse a netlist from a repro-format text stream.
+
+    A malformed record raises ``ValueError`` naming its line: as
+    ``<source>:<line>: ...`` when *source* names the file, else as
+    ``line <line>: ...``.
+    """
+
+    def error(lineno: int, message: object) -> ValueError:
+        where = f"{source}:{lineno}" if source else f"line {lineno}"
+        return ValueError(f"{where}: {message}")
+
     first = stream.readline().rstrip("\n")
     if first != MAGIC:
-        raise ValueError(f"not a repro netlist file (header {first!r})")
+        raise error(1, f"not a repro netlist file (header {first!r})")
     builder: NetlistBuilder = NetlistBuilder("unnamed")
+    first_record = True
     for lineno, raw in enumerate(stream, start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -114,6 +125,9 @@ def parse_netlist(stream: TextIO) -> Netlist:
         kind = tokens[0]
         try:
             if kind == "netlist":
+                # A later one would silently drop every record before it.
+                if not first_record:
+                    raise ValueError("a netlist record may only come first")
                 # The rest of the line: a design name may hold spaces.
                 builder = NetlistBuilder(line.split(None, 1)[1])
             elif kind == "cell":
@@ -123,7 +137,8 @@ def parse_netlist(stream: TextIO) -> Netlist:
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except (IndexError, ValueError, KeyError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise error(lineno, exc) from exc
+        first_record = False
     return builder.build()
 
 
@@ -178,9 +193,12 @@ def load_netlist(path: PathLike) -> Netlist:
     """Load a netlist from a repro-format text file.
 
     Goes through the design memo like :func:`netlist_from_string`: the
-    same file content returns the same netlist while it is in use.
+    same file content returns the same netlist while it is in use.  Parse
+    errors name the file and the line (``<file>:<line>: ...``).
     """
-    return netlist_from_string(Path(path).read_bytes().decode("utf-8"))
+    path = Path(path)
+    text = path.read_bytes().decode("utf-8")
+    return _memo_parse(text, canonical=False, source=path.name)
 
 
 def _text_key(text: str) -> str:
@@ -230,11 +248,13 @@ def _netlist_from_pickle(text: str) -> Netlist:
     return _memo_parse(text, canonical=True)
 
 
-def _memo_parse(text: str, *, canonical: bool) -> Netlist:
+def _memo_parse(
+    text: str, *, canonical: bool, source: Optional[str] = None
+) -> Netlist:
     key = _text_key(text)
 
     def parse():
-        netlist = parse_netlist(io.StringIO(text, newline=None))
+        netlist = parse_netlist(io.StringIO(text, newline=None), source=source)
         if canonical:  # pickled text is the netlist's own canonical text
             netlist._canonical = (text, key)
         return netlist, None

@@ -57,21 +57,7 @@ class Netlist:
             if cell.name in seen_cells:
                 raise ValueError(f"duplicate cell name {cell.name!r}")
             seen_cells[cell.name] = cell.index
-            if not (np.isfinite(cell.width) and np.isfinite(cell.height)):
-                raise ValueError(
-                    f"cell {cell.name!r} has non-finite size "
-                    f"{cell.width} x {cell.height}"
-                )
-            if cell.width < 0.0 or cell.height < 0.0:
-                raise ValueError(
-                    f"cell {cell.name!r} has negative size "
-                    f"{cell.width} x {cell.height}"
-                )
-            if cell.fixed and not (np.isfinite(cell.x) and np.isfinite(cell.y)):
-                raise ValueError(
-                    f"fixed cell {cell.name!r} has non-finite position "
-                    f"({cell.x}, {cell.y})"
-                )
+            cell.check()  # again: a field may have changed since construction
         seen_nets: set = set()
         for net in self.nets:
             if net.name in seen_nets:

@@ -9,6 +9,7 @@ uniform view.  Conversion to/from the movable-only solver vector happens in
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -139,3 +140,11 @@ class Placement:
 
     def __repr__(self) -> str:
         return f"Placement({self.netlist.name!r}, cells={self.netlist.num_cells})"
+
+
+def placement_hash(placement: Placement) -> str:
+    """SHA-256 over the raw float64 coordinate bytes — bit-exact identity."""
+    digest = hashlib.sha256()
+    digest.update(placement.x.astype("<f8", copy=False).tobytes())
+    digest.update(placement.y.astype("<f8", copy=False).tobytes())
+    return digest.hexdigest()

@@ -32,7 +32,6 @@ that drifts without an intentional algorithm change is a regression.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -43,7 +42,8 @@ from ..core import KraftwerkPlacer, PlacerConfig
 from ..core.reuse import ReuseContext
 from ..evaluation import hpwl_meters
 from ..legalize import final_placement
-from ..netlist import Placement, generate_circuit
+from ..netlist import generate_circuit
+from ..netlist.placement import placement_hash
 from ..netlist.generator import BENCH_SIZES, bench_spec
 from . import NULL_TELEMETRY, Telemetry
 
@@ -219,14 +219,6 @@ def resolve_sizes(spec: Optional[str]) -> List[str]:
                 f"unknown bench size {size!r}; choose from {sorted(BENCH_SIZES)}"
             )
     return sizes
-
-
-def placement_hash(placement: Placement) -> str:
-    """SHA-256 over the raw float64 coordinate bytes — bit-exact identity."""
-    digest = hashlib.sha256()
-    digest.update(placement.x.astype("<f8", copy=False).tobytes())
-    digest.update(placement.y.astype("<f8", copy=False).tobytes())
-    return digest.hexdigest()
 
 
 def _vcycle_breakdown(telemetry: Telemetry) -> List[Dict[str, Any]]:

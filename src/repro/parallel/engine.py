@@ -92,6 +92,26 @@ def _job_payload(
     }
 
 
+def _import_job_stack() -> None:
+    """Import every module :func:`_execute_job` runs.
+
+    :meth:`WorkerPool.start` calls this before it forks, so each worker
+    inherits the placer stack from its parent instead of importing scipy
+    and the placer on its first job; :func:`run_batch` calls it before
+    its clock starts.  The list follows the function-level imports of
+    :func:`_execute_job`, :func:`repro.api.place` and the pool worker's
+    entry point; a test pins that a job run after it imports nothing
+    more.  The test oracles of :mod:`repro.testing` stay out.
+    """
+    from ..api import place  # noqa: F401
+    from ..core import checkpoint, config, health, multilevel, placer  # noqa: F401
+    from ..evaluation import wirelength  # noqa: F401
+    from ..legalize import final_placement  # noqa: F401
+    from ..netlist import placement  # noqa: F401
+    from ..observability import Telemetry  # noqa: F401
+    from ..testing import faults  # noqa: F401
+
+
 def _execute_job(
     payload: Dict[str, Any],
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
@@ -108,7 +128,7 @@ def _execute_job(
     Only the hook and the progress messages are gated: the job's
     telemetry recorder is always enabled, which opens the placer's
     observer gate, so the per-iteration stats are computed either way
-    (ROADMAP item 5).
+    (ROADMAP item 6).
     """
     from contextlib import ExitStack
 
@@ -257,6 +277,9 @@ def run_batch(
         if progress is not None:
             progress(result, done, total)
 
+    # Load the placer before the clock starts: ``wall_seconds`` and a
+    # serial job's ``seconds`` time placement, not a first-use import.
+    _import_job_stack()
     t0 = time.perf_counter()
     if n_workers == 0 or total <= 1:
         context_name = "serial"

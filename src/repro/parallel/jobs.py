@@ -15,10 +15,10 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..api import FlowResult
-from ..core import PlacerConfig
+if TYPE_CHECKING:
+    from ..api import FlowResult
 
 BATCH_SCHEMA = "repro-batch/1"
 #: Round-trip schema tag for :meth:`JobResult.to_dict`.
@@ -56,6 +56,8 @@ class PlacementJob:
 
     def config_dict(self) -> Dict[str, Any]:
         """The job's config in canonical dict form (seed applied)."""
+        from ..core.config import PlacerConfig
+
         cfg = self.config
         if isinstance(cfg, PlacerConfig):
             data = cfg.to_dict()
@@ -131,7 +133,7 @@ class JobResult:
     #: up (``None`` for a fresh start) — how the service proves migration.
     resumed_iteration: Optional[int] = None
     #: SHA-256 over the final placement's coordinate bytes (same digest as
-    #: :func:`repro.observability.bench.placement_hash`).  Always computed
+    #: :func:`repro.netlist.placement.placement_hash`).  Always computed
     #: worker-side for successful jobs, even when the coordinate arrays
     #: themselves are dropped — bit-exact identity travels for free.
     positions_hash: Optional[str] = None

@@ -219,6 +219,12 @@ class WorkerPool:
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> None:
+        if self.mp_context == "fork":
+            # A forked worker starts with its parent's modules: load the
+            # job stack once here rather than once per worker and job.
+            from .engine import _import_job_stack
+
+            _import_job_stack()
         for handle in self.handles:
             self._spawn(handle)
 

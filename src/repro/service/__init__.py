@@ -31,59 +31,33 @@ Layering (each module only knows the one below):
 Clients should reach all of this through :class:`repro.api.Client`.
 """
 
-from .admission import AdmissionController, AdmissionDecision, SHED_REASONS
-from .cache import ResultCache, job_signature
-from .jobs import (
-    FAILURE_CLASSES,
-    JOB_SCHEMA,
-    AttemptRecord,
-    JobRecord,
-    JobState,
-    RetryPolicy,
-    SERVICE_SCHEMA,
-    ServiceJob,
-    SubmitResult,
-    classify_failure,
-)
-from .net import (
-    MAX_FRAME_BYTES,
-    PlacementServer,
-    WIRE_SCHEMA,
-    WireClient,
-    WireError,
-)
-from ..parallel.pool import WorkerDeath, WorkerHandle, WorkerPool
-from .progress import PROGRESS_EVENT, ProgressBroker, RESULT_EVENT
-from .supervisor import PlacementService, ServiceConfig, serve_jobs
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AttemptRecord",
-    "FAILURE_CLASSES",
-    "JOB_SCHEMA",
-    "JobRecord",
-    "JobState",
-    "MAX_FRAME_BYTES",
-    "PROGRESS_EVENT",
-    "PlacementServer",
-    "PlacementService",
-    "ProgressBroker",
-    "RESULT_EVENT",
-    "ResultCache",
-    "RetryPolicy",
-    "SERVICE_SCHEMA",
-    "SHED_REASONS",
-    "ServiceJob",
-    "ServiceConfig",
-    "SubmitResult",
-    "WIRE_SCHEMA",
-    "WireClient",
-    "WireError",
-    "WorkerDeath",
-    "WorkerHandle",
-    "WorkerPool",
-    "classify_failure",
-    "job_signature",
-    "serve_jobs",
-]
+# Names resolve on first use (see :mod:`repro._lazy`): the client half of
+# :mod:`~repro.service.net` loads neither the supervisor nor the placer.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".admission": ("AdmissionController", "AdmissionDecision", "SHED_REASONS"),
+    ".cache": ("ResultCache", "job_signature"),
+    ".jobs": (
+        "FAILURE_CLASSES",
+        "JOB_SCHEMA",
+        "AttemptRecord",
+        "JobRecord",
+        "JobState",
+        "RetryPolicy",
+        "SERVICE_SCHEMA",
+        "ServiceJob",
+        "SubmitResult",
+        "classify_failure",
+    ),
+    ".net": (
+        "MAX_FRAME_BYTES",
+        "PlacementServer",
+        "WIRE_SCHEMA",
+        "WireClient",
+        "WireError",
+    ),
+    "..parallel.pool": ("WorkerDeath", "WorkerHandle", "WorkerPool"),
+    ".progress": ("PROGRESS_EVENT", "ProgressBroker", "RESULT_EVENT"),
+    ".supervisor": ("PlacementService", "ServiceConfig", "serve_jobs"),
+})

@@ -11,7 +11,7 @@ module extends that gating across the process boundary:
 - nobody subscribes → the payload flag stays ``False`` → the worker passes
   ``iteration_hook=None`` and sends no progress messages.  The stats are
   still computed, because the worker's telemetry recorder opens the
-  placer's ``observe`` gate on its own (ROADMAP item 5).
+  placer's ``observe`` gate on its own (ROADMAP item 6).
 
 Callbacks run inline where the supervisor publishes (under its condition
 variable), so they must be non-blocking — enqueue and return.  Both

@@ -597,7 +597,7 @@ class PlacementService:
             # read once at dispatch; no subscriber means the worker sends
             # no progress messages.  The worker still computes the
             # per-iteration stats, because its telemetry opens the
-            # placer's observer gate (ROADMAP item 5).
+            # placer's observer gate (ROADMAP item 6).
             payload["stream_progress"] = self.broker.has(job_id)
             record.attempts.append(
                 AttemptRecord(

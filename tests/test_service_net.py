@@ -376,6 +376,31 @@ class TestSubmitRejects:
         assert "finite, positive weight" in reply["error"]
         assert server.service.report()["n_submitted"] == 0
 
+    def test_nan_cell_power_refused(self, idle_server):
+        from repro.netlist import NetlistBuilder, netlist_to_string
+
+        builder = NetlistBuilder("nan-power")
+        builder.add_cell("a", 4.0, 4.0)
+        builder.add_cell("bb", 4.0, 4.0)
+        builder.add_net("n0", ["a", "bb"])
+        text = netlist_to_string(builder.build())
+        assert " 5e-13 0.0 0\n" in text  # input_cap, power, is_register
+        server, _ = idle_server
+        sock = raw_connect(server.address, token="nan")
+        try:
+            send_frame(sock, {
+                "type": "submit",
+                "spec": {"netlist_text": text.replace(" 5e-13 0.0 0\n",
+                                                      " 5e-13 nan 0\n", 1),
+                         "legalize": False, "max_iterations": 4},
+            })
+            reply = recv_frame(sock)
+        finally:
+            sock.close()
+        assert reply["type"] == "error"
+        assert "line 3: cell 'a' has non-finite power" in reply["error"]
+        assert server.service.report()["n_submitted"] == 0
+
 
 # ----------------------------------------------------------------------
 # Submit / result round trip

@@ -8,6 +8,9 @@ from repro.netlist import (
     Netlist,
     NetlistBuilder,
     load_bookshelf,
+    load_netlist,
+    netlist_from_string,
+    netlist_to_string,
     validate_netlist,
 )
 from repro.netlist.cell import Cell
@@ -17,13 +20,93 @@ def _region(w=100.0, h=100.0):
     return PlacementRegion(bounds=Rect(0.0, 0.0, w, h))
 
 
+def _text_netlist():
+    """Canonical text of a two-cell design: one movable cell, one pad."""
+    b = NetlistBuilder("t")
+    b.add_cell("a", 4.0, 4.0)
+    b.add_fixed_cell("pad", 1.0, 1.0, x=0.0, y=0.0)
+    b.add_net("n", [("pad", "output"), ("a", "input")])
+    return netlist_to_string(b.build())
+
+
+def _with_cell_field(text, cell, column, value):
+    """*text* with field *column* of *cell*'s record set to *value*."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if tokens[:2] == ["cell", cell]:
+            tokens[column] = value
+            lines[i] = " ".join(tokens) + "\n"
+            return "".join(lines), i + 1
+    raise AssertionError(f"no record for cell {cell!r}")
+
+
+#: Token positions of a text-format cell record's fields ("cell" is 0).
+TEXT_COLUMNS = {"width": 2, "height": 3, "x": 6, "y": 7, "delay": 8,
+                "input_cap": 9, "power": 10}
+
+
 class TestNetlistConstructionRejects:
     def test_nonfinite_cell_size_rejected(self):
-        # Cell.__post_init__'s "width <= 0" check lets NaN through
-        # (NaN comparisons are False), so Netlist must catch it.
-        cells = [Cell("a", float("nan"), 2.0)]
+        # NaN compares False with everything, so a "width <= 0" check alone
+        # lets it through; Cell checks finiteness itself.
         with pytest.raises(ValueError, match="non-finite size"):
-            Netlist("bad", cells, [])
+            Netlist("bad", [Cell("a", float("nan"), 2.0)], [])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["width", "height"])
+    def test_cell_needs_finite_positive_size(self, field, value):
+        size = {"width": 1.0, "height": 1.0, field: value}
+        with pytest.raises(ValueError, match="cell 'a' has"):
+            Cell("a", **size)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_fixed_cell_needs_finite_position(self, field, value):
+        where = {"x": 0.0, "y": 0.0, field: value}
+        with pytest.raises(ValueError, match="non-finite position"):
+            Cell("p", 1.0, 1.0, fixed=True, **where)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["delay", "input_cap", "power"])
+    def test_cell_needs_finite_timing_and_power(self, field, value):
+        with pytest.raises(ValueError, match=f"non-finite {field}"):
+            Cell("a", 1.0, 1.0, **{field: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("cell,field", [
+        ("a", "width"), ("a", "height"), ("pad", "x"), ("pad", "y"),
+        ("a", "delay"), ("a", "input_cap"), ("a", "power"),
+    ])
+    def test_text_format_nonfinite_field_names_the_line(self, cell, field, value):
+        text, lineno = _with_cell_field(
+            _text_netlist(), cell, TEXT_COLUMNS[field], value
+        )
+        with pytest.raises(
+            ValueError, match=rf"^line {lineno}: (fixed )?cell '{cell}' has non-finite"
+        ):
+            netlist_from_string(text)
+
+    def test_text_format_netlist_record_only_first(self):
+        # A second netlist record used to start a new design silently,
+        # dropping every cell and net read before it.
+        text = _text_netlist() + "netlist other\n"
+        with pytest.raises(ValueError, match=r"^line 6: a netlist record"):
+            netlist_from_string(text)
+
+    def test_load_netlist_names_the_file_and_line(self, tmp_path):
+        text, lineno = _with_cell_field(
+            _text_netlist(), "a", TEXT_COLUMNS["power"], "nan"
+        )
+        path = tmp_path / "d.netlist"
+        path.write_text(text)
+        with pytest.raises(
+            ValueError, match=rf"^d\.netlist:{lineno}: cell 'a' has non-finite power"
+        ):
+            load_netlist(path)
+        path.write_text("garbage\n")
+        with pytest.raises(ValueError, match=r"^d\.netlist:1: not a repro netlist"):
+            load_netlist(path)
 
     def test_negative_cell_size_rejected(self):
         cell = Cell("a", 1.0, 1.0)
@@ -192,6 +275,47 @@ class TestBookshelfDiagnostics:
             "  SubrowOrigin : 0  NumSites : 100\nEnd\n"
         ))
         with pytest.raises(ValueError, match=r"d\.scl:4: malformed row"):
+            load_bookshelf(aux)
+
+    def test_duplicate_node_names_file_and_line(self, tmp_path):
+        aux = self._write_minimal(tmp_path, nodes=(
+            "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n"
+            "  a 8 10\n  bb 8 10\n  a 9 10\n"
+        ))
+        with pytest.raises(
+            ValueError, match=r"d\.nodes:6: duplicate node 'a' \(first at line 4\)"
+        ):
+            load_bookshelf(aux)
+
+    @pytest.mark.parametrize("size", ["nan 10", "8 inf", "0 10", "8 -1"])
+    def test_bad_node_size_names_file_and_line(self, tmp_path, size):
+        aux = self._write_minimal(tmp_path, nodes=(
+            "UCLA nodes 1.0\nNumNodes : 2\nNumTerminals : 0\n"
+            f"  a 8 10\n  bb {size}\n"
+        ))
+        with pytest.raises(
+            ValueError, match=r"d\.nodes:5: node 'bb' needs a finite, positive size"
+        ):
+            load_bookshelf(aux)
+
+    @pytest.mark.parametrize("record", ["bb 20", "bb nan 0 : N /FIXED",
+                                        "bb 20 inf : N"])
+    def test_bad_pl_record_names_file_and_line(self, tmp_path, record):
+        aux = self._write_minimal(tmp_path, pl=(
+            f"UCLA pl 1.0\na 0 0 : N\n{record}\n"
+        ))
+        with pytest.raises(ValueError, match=r"d\.pl:3: malformed placement"):
+            load_bookshelf(aux)
+
+    @pytest.mark.parametrize("attribute", ["Coordinate : nan", "Height : 0",
+                                           "Height : inf"])
+    def test_bad_row_names_file_and_line(self, tmp_path, attribute):
+        aux = self._write_minimal(tmp_path, scl=(
+            "UCLA scl 1.0\nNumRows : 1\nCoreRow Horizontal\n"
+            f"  Coordinate : 0\n  Height : 10\n  {attribute}\n"
+            "  SubrowOrigin : 0  NumSites : 100\nEnd\n"
+        ))
+        with pytest.raises(ValueError, match=r"d\.scl:[36]: "):
             load_bookshelf(aux)
 
     def test_comments_and_trailing_blanks_tolerated(self, tmp_path):
