@@ -9,6 +9,7 @@ heat-driven placement spreads it.
 import pytest
 
 from repro import HeatDrivenPlacer, KraftwerkPlacer, PlacerConfig
+from repro.eco import NetlistDelta
 from repro.evaluation import format_table
 
 from conftest import print_table
@@ -22,20 +23,18 @@ POWER_FACTOR = 40.0
 def heat_results(suite):
     c = suite.circuit(CIRCUIT)
     nl = c.netlist
-    movable = list(nl.movable_indices)
+    movable = nl.movable_indices
     count = max(6, len(movable) // HOT_FRACTION)
-    hot = movable[:count]
-    for i in hot:
-        nl.cells[i].power *= POWER_FACTOR
-    try:
-        base = KraftwerkPlacer(nl, c.region, PlacerConfig.standard()).place()
-        driven = HeatDrivenPlacer(nl, c.region, PlacerConfig.standard(), heat_weight=2.0)
-        result = driven.place()
-        base_thermal = driven.model.solve(base.placement)
-        return base, base_thermal, result
-    finally:
-        for i in hot:
-            nl.cells[i].power /= POWER_FACTOR
+    # The hot module is an ECO change: netlists are immutable.
+    nl = NetlistDelta(modify_cells={
+        nl.cell_names[i]: {"power": float(nl.powers[i]) * POWER_FACTOR}
+        for i in movable[:count]
+    }).apply(nl)
+    base = KraftwerkPlacer(nl, c.region, PlacerConfig.standard()).place()
+    driven = HeatDrivenPlacer(nl, c.region, PlacerConfig.standard(), heat_weight=2.0)
+    result = driven.place()
+    base_thermal = driven.model.solve(base.placement)
+    return base, base_thermal, result
 
 
 def test_heat_run(benchmark, heat_results):

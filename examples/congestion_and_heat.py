@@ -15,6 +15,7 @@ from repro import (
     KraftwerkPlacer,
     make_circuit,
 )
+from repro.eco import NetlistDelta
 
 
 def main() -> None:
@@ -41,10 +42,12 @@ def main() -> None:
 
     # --- heat ----------------------------------------------------------
     # Make a contiguous module run hot (40x power), then spread it.
-    movable = list(netlist.movable_indices)
-    hot = movable[10:50]
-    for i in hot:
-        netlist.cells[i].power *= 40.0
+    # A netlist is immutable: derive the hot design as an ECO change.
+    hot = netlist.movable_indices[10:50]
+    netlist = NetlistDelta(modify_cells={
+        netlist.cell_names[i]: {"power": float(netlist.powers[i]) * 40.0}
+        for i in hot
+    }).apply(netlist)
     heat = HeatDrivenPlacer(netlist, region, heat_weight=2.0)
     cooled = heat.place()
     base_hot = KraftwerkPlacer(netlist, region).place()
@@ -54,8 +57,6 @@ def main() -> None:
           f"{base_hot.hpwl_m:.4f} m")
     print(f"  driven: peak T {cooled.peak_temperature:8.1f}, "
           f"{cooled.result.hpwl_m:.4f} m")
-    for i in hot:
-        netlist.cells[i].power /= 40.0
 
 
 if __name__ == "__main__":

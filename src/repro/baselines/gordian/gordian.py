@@ -230,10 +230,11 @@ class GordianPlacer:
                 if j in seen_nets:
                     continue
                 seen_nets.add(j)
+                ptr = self.netlist.net_ptr
                 members = [
-                    local[p.cell]
-                    for p in self.netlist.nets[j].pins
-                    if p.cell in local
+                    local[c]
+                    for c in self.netlist.pin_cell[ptr[j]:ptr[j + 1]].tolist()
+                    if c in local
                 ]
                 members = sorted(set(members))
                 if len(members) >= 2:

@@ -136,14 +136,15 @@ class MinCutPlacer:
                     continue
                 seen.add(j)
                 members = set()
-                for pin in nl.nets[j].pins:
-                    if pin.cell in local:
-                        members.add(local[pin.cell])
+                pins = nl.pin_cell[nl.net_ptr[j]:nl.net_ptr[j + 1]].tolist()
+                for pin_cell in pins:
+                    if pin_cell in local:
+                        members.add(local[pin_cell])
                     elif cfg.terminal_propagation:
                         coord = (
-                            placement.x[pin.cell]
+                            placement.x[pin_cell]
                             if horizontal
-                            else placement.y[pin.cell]
+                            else placement.y[pin_cell]
                         )
                         members.add(LOW if coord < mid else HIGH)
                 if len(members) >= 2:

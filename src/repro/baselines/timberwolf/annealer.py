@@ -76,11 +76,8 @@ class _State:
         self.rows = region.rows
         self.num_rows = len(self.rows)
         self.weights = weights
-        self.cells = [
-            int(i)
-            for i in netlist.movable_indices
-            if netlist.cells[i].kind is not CellKind.BLOCK
-        ]
+        movable = netlist.movable_indices
+        self.cells = movable[~netlist.kind_mask(CellKind.BLOCK)[movable]].tolist()
         self.x = placement.x.copy()
         self.y = placement.y.copy()
         self.row_of: Dict[int, int] = {}
@@ -94,8 +91,13 @@ class _State:
             self.row_width[r] += float(netlist.widths[i])
         self.target_row_width = sum(self.row_width) / max(self.num_rows, 1)
         # Per-net pin lists (cell index, dx, dy) for incremental HPWL.
+        ptr = netlist.net_ptr.tolist()
+        pins = list(zip(
+            netlist.pin_cell.tolist(), netlist.pin_dx.tolist(),
+            netlist.pin_dy.tolist(),
+        ))
         self.net_pins: List[List[Tuple[int, float, float]]] = [
-            [(p.cell, p.dx, p.dy) for p in net.pins] for net in netlist.nets
+            pins[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])
         ]
         self.cell_nets = [netlist.nets_of_cell(i) for i in range(netlist.num_cells)]
         # Sorted per-row cell lists for overlap queries.

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..evaluation.wirelength import pin_arrays
 from ..geometry import Grid, PlacementRegion
 from ..netlist import Placement
 
@@ -96,10 +95,9 @@ class PatternRouter:
     # ------------------------------------------------------------------
     def _segments(self, placement: Placement) -> List[Segment]:
         """Two-pin bin-to-bin segments from per-net rectilinear MSTs."""
-        arrays = pin_arrays(placement.netlist)
-        px, py = arrays.pin_coords(placement)
+        px, py = placement.pin_coords()
         segments: List[Segment] = []
-        starts = arrays.net_start
+        starts = placement.netlist.net_ptr
         for j in range(placement.netlist.num_nets):
             lo, hi = int(starts[j]), int(starts[j + 1])
             k = hi - lo

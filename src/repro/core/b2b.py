@@ -24,7 +24,6 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..evaluation.wirelength import pin_arrays
 from ..netlist import Netlist, Placement
 from .quadratic import AssembledSystem
 
@@ -47,9 +46,8 @@ class B2BSystem:
         self.n_stars = 0
         self._var_of_cell = np.full(netlist.num_cells, -1, dtype=np.int64)
         self._var_of_cell[netlist.movable_indices] = np.arange(self.n_movable)
-        self._arrays = pin_arrays(netlist)
         # Per-pin variable index (-1 for pins on fixed cells).
-        self._pin_var = self._var_of_cell[self._arrays.pin_cell]
+        self._pin_var = self._var_of_cell[netlist.pin_cell]
         # Distance guard ~ one cell width: like the linearization gamma, a
         # smaller guard welds coincident cells together with quasi-rigid
         # springs that the density forces cannot pull apart.
@@ -76,12 +74,12 @@ class B2BSystem:
         runtime = np.ones(num_nets) if net_weights is None else np.asarray(net_weights)
         if runtime.shape != (num_nets,):
             raise ValueError("net_weights has wrong length")
-        px, py = self._arrays.pin_coords(placement)
+        px, py = placement.pin_coords()
         Ax, bx = self._assemble_axis(
-            px, self._arrays.pin_dx, runtime, anchor_weight, anchor_xy[0]
+            px, self.netlist.pin_dx, runtime, anchor_weight, anchor_xy[0]
         )
         Ay, by = self._assemble_axis(
-            py, self._arrays.pin_dy, runtime, anchor_weight, anchor_xy[1]
+            py, self.netlist.pin_dy, runtime, anchor_weight, anchor_xy[1]
         )
         return AssembledSystem(Ax=Ax, bx=bx, Ay=Ay, by=by)
 
@@ -121,7 +119,7 @@ class B2BSystem:
                 b[vb] += weight * (pin_pos[pa] - pin_off[pb])
             # fixed-fixed: constant, drops out of the gradient
 
-        start = self._arrays.net_start
+        start = self.netlist.net_ptr
         for j in range(self.netlist.num_nets):
             lo, hi = int(start[j]), int(start[j + 1])
             p = hi - lo

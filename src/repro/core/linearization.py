@@ -18,7 +18,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..evaluation.wirelength import pin_arrays
 from ..netlist import Placement
 
 
@@ -32,12 +31,11 @@ def linearization_factors(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    arrays = pin_arrays(placement.netlist)
-    if arrays.pin_cell.size == 0:
-        n = placement.netlist.num_nets
-        return np.ones(n), np.ones(n)
-    px, py = arrays.pin_coords(placement)
-    seg = arrays.net_start[:-1]
+    nl = placement.netlist
+    if nl.num_pins == 0:
+        return np.ones(nl.num_nets), np.ones(nl.num_nets)
+    px, py = placement.pin_coords()
+    seg = nl.net_ptr[:-1]
     span_x = np.maximum.reduceat(px, seg) - np.minimum.reduceat(px, seg)
     span_y = np.maximum.reduceat(py, seg) - np.minimum.reduceat(py, seg)
     fx = 1.0 / np.maximum(span_x, gamma)

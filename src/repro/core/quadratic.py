@@ -105,14 +105,11 @@ class QuadraticSystem:
         follows entry order; any reordering would perturb the last bits of
         the assembled matrices and break the pinned determinism hashes.
         """
-        from ..evaluation.wirelength import pin_arrays
-
         nl = self.netlist
-        pins = pin_arrays(nl)
-        degree = pins.degree
-        net_start = pins.net_start
-        pin_cell, pin_dx, pin_dy = pins.pin_cell, pins.pin_dx, pins.pin_dy
-        net_weight = pins.static_weight
+        degree = nl.net_degree
+        net_start = nl.net_ptr
+        pin_cell, pin_dx, pin_dy = nl.pin_cell, nl.pin_dx, nl.pin_dy
+        net_weight = nl.net_weight
         var = self._var_of_cell
 
         star_nets = np.flatnonzero(degree > self.clique_threshold)
@@ -292,37 +289,6 @@ class QuadraticSystem:
             [[0], np.cumsum(counts)]
         ).astype(idx_dtype)
         self._pat_diag = np.flatnonzero(self._pat_indices == unique_rows)
-
-    def _add_edge(
-        self, pin_a, pin_b, net_index, base_w,
-        mm_u, mm_v, mm_net, mm_w, mm_offx, mm_offy,
-        mf_u, mf_net, mf_w, mf_qx, mf_qy,
-    ) -> None:
-        nl = self.netlist
-        ua = self._var_of_cell[pin_a.cell]
-        ub = self._var_of_cell[pin_b.cell]
-        if ua >= 0 and ub >= 0:
-            mm_u.append(int(ua))
-            mm_v.append(int(ub))
-            mm_net.append(net_index)
-            mm_w.append(base_w)
-            mm_offx.append(pin_a.dx - pin_b.dx)
-            mm_offy.append(pin_a.dy - pin_b.dy)
-        elif ua >= 0:
-            cell_b = nl.cells[pin_b.cell]
-            mf_u.append(int(ua))
-            mf_net.append(net_index)
-            mf_w.append(base_w)
-            mf_qx.append(cell_b.x + pin_b.dx - pin_a.dx)
-            mf_qy.append(cell_b.y + pin_b.dy - pin_a.dy)
-        elif ub >= 0:
-            cell_a = nl.cells[pin_a.cell]
-            mf_u.append(int(ub))
-            mf_net.append(net_index)
-            mf_w.append(base_w)
-            mf_qx.append(cell_a.x + pin_a.dx - pin_b.dx)
-            mf_qy.append(cell_a.y + pin_a.dy - pin_b.dy)
-        # fixed-fixed edges are constants and vanish from the gradient
 
     # ------------------------------------------------------------------
     # Assembly

@@ -103,15 +103,11 @@ class NetlistDelta:
         for net in netlist.nets:
             if net.name in dead_nets:
                 continue
+            names = netlist.cell_names
             pins = [
-                (
-                    netlist.cells[p.cell].name,
-                    p.direction.value,
-                    p.dx,
-                    p.dy,
-                )
+                (names[p.cell], p.direction.value, p.dx, p.dy)
                 for p in net.pins
-                if netlist.cells[p.cell].name not in removed
+                if names[p.cell] not in removed
             ]
             if len(pins) >= 2:
                 builder.add_net(net.name, pins, weight=net.weight)
@@ -148,7 +144,7 @@ def transfer_placement(
     Surviving cells keep their positions; new cells start at the centroid of
     their already-placed neighbors (or the region center if isolated).
     """
-    old_index = {cell.name: cell.index for cell in old_netlist.cells}
+    old_index = {name: i for i, name in enumerate(old_netlist.cell_names)}
     placement = Placement.at_center(new_netlist, region)
     known = np.zeros(new_netlist.num_cells, dtype=bool)
     for cell in new_netlist.cells:
@@ -200,7 +196,7 @@ def eco_place(
     placer = KraftwerkPlacer(new_netlist, region, cfg)
     result = placer.place(initial=initial, max_iterations=max_iterations)
 
-    old_index = {cell.name: cell.index for cell in old_netlist.cells}
+    old_index = {name: i for i, name in enumerate(old_netlist.cell_names)}
     common: List[str] = []
     moved: List[float] = []
     for cell in new_netlist.cells:

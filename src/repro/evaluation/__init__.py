@@ -2,8 +2,6 @@
 
 from .wirelength import (
     MICRONS_PER_METER,
-    NetPinArrays,
-    pin_arrays,
     net_hpwl,
     hpwl,
     hpwl_meters,
@@ -33,8 +31,6 @@ from .analysis import (
 
 __all__ = [
     "MICRONS_PER_METER",
-    "NetPinArrays",
-    "pin_arrays",
     "net_hpwl",
     "hpwl",
     "hpwl_meters",

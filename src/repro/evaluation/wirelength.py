@@ -8,71 +8,22 @@ provided here, vectorized over the whole netlist.
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 import numpy as np
 
-from ..netlist import Netlist, Placement, PinDirection
+from ..netlist import Placement
 
 MICRONS_PER_METER = 1.0e6
 
 
-class NetPinArrays:
-    """Flattened CSR-style pin arrays for vectorized per-net reductions."""
-
-    def __init__(self, netlist: Netlist):
-        starts = [0]
-        cells: list = []
-        dxs: list = []
-        dys: list = []
-        outs: list = []
-        OUTPUT = PinDirection.OUTPUT
-        for net in netlist.nets:
-            for pin in net.pins:
-                cells.append(pin.cell)
-                dxs.append(pin.dx)
-                dys.append(pin.dy)
-                outs.append(pin.direction is OUTPUT)
-            starts.append(len(cells))
-        self.net_start = np.array(starts, dtype=np.int64)
-        self.pin_cell = np.array(cells, dtype=np.int64)
-        self.pin_dx = np.array(dxs, dtype=np.float64)
-        self.pin_dy = np.array(dys, dtype=np.float64)
-        self.pin_is_out = np.array(outs, dtype=bool)
-        self.static_weight = np.array([n.weight for n in netlist.nets])
-        self.degree = np.diff(self.net_start)
-
-    def pin_coords(self, placement: Placement):
-        px = placement.x[self.pin_cell] + self.pin_dx
-        py = placement.y[self.pin_cell] + self.pin_dy
-        return px, py
-
-
-# Weak keys: entries die with their netlist.  An id(netlist)-keyed dict
-# would both leak every entry forever and — worse — serve stale arrays when
-# a freed netlist's address gets reused by a new one.
-_PIN_ARRAY_CACHE: "weakref.WeakKeyDictionary[Netlist, NetPinArrays]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def pin_arrays(netlist: Netlist) -> NetPinArrays:
-    """Cached flattened pin arrays for a netlist."""
-    cached = _PIN_ARRAY_CACHE.get(netlist)
-    if cached is None or cached.net_start.size != netlist.num_nets + 1:
-        cached = NetPinArrays(netlist)
-        _PIN_ARRAY_CACHE[netlist] = cached
-    return cached
-
-
 def net_hpwl(placement: Placement) -> np.ndarray:
     """Half-perimeter wire length of every net, in microns."""
-    arrays = pin_arrays(placement.netlist)
-    if arrays.pin_cell.size == 0:
-        return np.zeros(placement.netlist.num_nets)
-    px, py = arrays.pin_coords(placement)
-    seg = arrays.net_start[:-1]
+    nl = placement.netlist
+    if nl.num_pins == 0:
+        return np.zeros(nl.num_nets)
+    px, py = placement.pin_coords()
+    seg = nl.net_ptr[:-1]
     dx = np.maximum.reduceat(px, seg) - np.minimum.reduceat(px, seg)
     dy = np.maximum.reduceat(py, seg) - np.minimum.reduceat(py, seg)
     return dx + dy
@@ -100,12 +51,12 @@ def quadratic_wirelength(placement: Placement) -> float:
     ``(1/k) * sum_{i<j} (d_ij_x^2 + d_ij_y^2)``, which equals
     ``sum(x^2) - k*mean(x)^2`` per axis — computed that way to stay O(pins).
     """
-    arrays = pin_arrays(placement.netlist)
-    if arrays.pin_cell.size == 0:
+    nl = placement.netlist
+    if nl.num_pins == 0:
         return 0.0
-    px, py = arrays.pin_coords(placement)
-    seg = arrays.net_start[:-1]
-    k = arrays.degree.astype(np.float64)
+    px, py = placement.pin_coords()
+    seg = nl.net_ptr[:-1]
+    k = nl.net_degree.astype(np.float64)
     total = 0.0
     for coords in (px, py):
         s1 = np.add.reduceat(coords, seg)
@@ -123,13 +74,13 @@ def net_mst_length(placement: Placement, max_degree: int = 64) -> np.ndarray:
     1.5x of the Steiner optimum in general).  Prim's algorithm on Manhattan
     distances, O(k^2) per net; nets above ``max_degree`` fall back to HPWL.
     """
-    arrays = pin_arrays(placement.netlist)
-    out = np.zeros(placement.netlist.num_nets)
-    if arrays.pin_cell.size == 0:
+    nl = placement.netlist
+    out = np.zeros(nl.num_nets)
+    if nl.num_pins == 0:
         return out
-    px, py = arrays.pin_coords(placement)
+    px, py = placement.pin_coords()
     hp = net_hpwl(placement)
-    starts = arrays.net_start
+    starts = nl.net_ptr
     for j in range(placement.netlist.num_nets):
         lo, hi = int(starts[j]), int(starts[j + 1])
         k = hi - lo
@@ -162,9 +113,8 @@ def mst_wirelength(placement: Placement) -> float:
 
 def net_bounding_boxes(placement: Placement) -> np.ndarray:
     """Per-net (xlo, ylo, xhi, yhi); shape ``(num_nets, 4)``."""
-    arrays = pin_arrays(placement.netlist)
-    px, py = arrays.pin_coords(placement)
-    seg = arrays.net_start[:-1]
+    px, py = placement.pin_coords()
+    seg = placement.netlist.net_ptr[:-1]
     out = np.empty((placement.netlist.num_nets, 4))
     out[:, 0] = np.minimum.reduceat(px, seg)
     out[:, 1] = np.minimum.reduceat(py, seg)

@@ -57,11 +57,10 @@ class MixedSizePlacer:
         self.region = region
         self.config = config or PlacerConfig()
         self.separation_iterations = separation_iterations
-        self.block_indices = [
-            int(i)
-            for i in netlist.movable_indices
-            if netlist.cells[i].kind is CellKind.BLOCK
-        ]
+        movable = netlist.movable_indices
+        self.block_indices = movable[
+            netlist.kind_mask(CellKind.BLOCK)[movable]
+        ].tolist()
 
     # ------------------------------------------------------------------
     def place(self) -> FloorplanResult:

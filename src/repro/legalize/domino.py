@@ -57,6 +57,12 @@ class DominoImprover:
         from ..evaluation.wirelength import net_hpwl
 
         out = placement.copy()
+        nl = placement.netlist
+        # Pin CSR as Python lists: _cell_cost reads it pin by pin.
+        self._pins = (
+            nl.net_ptr.tolist(), nl.pin_cell.tolist(), nl.pin_dx.tolist(),
+            nl.pin_dy.tolist(),
+        )
         hpwl_before = float(net_hpwl(out).sum())
         accepted = 0
         passes_run = 0
@@ -90,9 +96,8 @@ class DominoImprover:
     def _rows_of(self, placement: Placement) -> Dict[float, List[int]]:
         nl = placement.netlist
         rows: Dict[float, List[int]] = {}
-        for i in nl.movable_indices:
-            if nl.cells[i].kind is CellKind.BLOCK:
-                continue
+        movable = nl.movable_indices
+        for i in movable[~nl.kind_mask(CellKind.BLOCK)[movable]]:
             rows.setdefault(round(float(placement.y[i]), 6), []).append(int(i))
         for lst in rows.values():
             lst.sort(key=lambda i: placement.x[i])
@@ -160,18 +165,19 @@ class DominoImprover:
         cell at the slot — the standard independent-cost approximation of
         the transportation formulation.
         """
-        nl = placement.netlist
+        ptr, pin_cell, pin_dx, pin_dy = self._pins
         total = 0.0
-        for j in nl.nets_of_cell(cell):
+        for j in placement.netlist.nets_of_cell(cell):
             xs: List[float] = []
             ys: List[float] = []
-            for pin in nl.nets[j].pins:
-                if pin.cell == cell:
-                    xs.append(slot.x + pin.dx)
-                    ys.append(slot.y + pin.dy)
-                elif pin.cell not in moving:
-                    xs.append(float(placement.x[pin.cell]) + pin.dx)
-                    ys.append(float(placement.y[pin.cell]) + pin.dy)
+            for p in range(ptr[j], ptr[j + 1]):
+                other, dx, dy = pin_cell[p], pin_dx[p], pin_dy[p]
+                if other == cell:
+                    xs.append(slot.x + dx)
+                    ys.append(slot.y + dy)
+                elif other not in moving:
+                    xs.append(float(placement.x[other]) + dx)
+                    ys.append(float(placement.y[other]) + dy)
             if len(xs) >= 2:
                 total += (max(xs) - min(xs)) + (max(ys) - min(ys))
         return total

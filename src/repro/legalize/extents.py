@@ -27,7 +27,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..evaluation.wirelength import pin_arrays
 from ..netlist import Netlist
 
 
@@ -49,12 +48,11 @@ class MoveEvaluator:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        arrays = pin_arrays(netlist)
-        self.net_start = arrays.net_start
-        self.pin_cell = arrays.pin_cell
-        self.pin_dx = arrays.pin_dx
-        self.pin_dy = arrays.pin_dy
-        self.degree = arrays.degree.astype(np.int64)
+        self.net_start = netlist.net_ptr
+        self.pin_cell = netlist.pin_cell
+        self.pin_dx = netlist.pin_dx
+        self.pin_dy = netlist.pin_dy
+        self.degree = netlist.net_degree
         num_nets = len(self.degree)
         net_of_pin = np.repeat(np.arange(num_nets, dtype=np.int64), self.degree)
 

@@ -50,11 +50,8 @@ class TetrisLegalizer:
         ys = self.index.row_y.tolist()
         nrows = len(ys)
 
-        targets = [
-            i
-            for i in nl.movable_indices
-            if nl.cells[i].kind is not CellKind.BLOCK
-        ]
+        movable = nl.movable_indices
+        targets = list(movable[~nl.kind_mask(CellKind.BLOCK)[movable]])
         targets.sort(key=lambda i: placement.x[i] - nl.widths[i] / 2.0)
 
         out = placement.copy()

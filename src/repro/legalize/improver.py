@@ -144,11 +144,7 @@ class VectorImprover:
         out = placement.copy()
         ev = MoveEvaluator(nl)
         movable = nl.movable_indices
-        std = np.array(
-            [int(i) for i in movable
-             if nl.cells[int(i)].kind is not CellKind.BLOCK],
-            dtype=np.int64,
-        )
+        std = movable[~nl.kind_mask(CellKind.BLOCK)[movable]]
         hpwl_before = float(net_hpwl(out).sum())
         accepted = 0
         passes_run = 0

@@ -343,11 +343,7 @@ class VectorAbacusLegalizer:
 
         movable = nl.movable_indices
         if movable.size:
-            std_mask = np.array(
-                [nl.cells[int(i)].kind is not CellKind.BLOCK for i in movable],
-                dtype=bool,
-            )
-            std = movable[std_mask]
+            std = movable[~nl.kind_mask(CellKind.BLOCK)[movable]]
         else:
             std = movable
         widths = nl.widths[std]

@@ -25,9 +25,60 @@ class CellKind(enum.Enum):
     PAD = "pad"  # I/O pad, normally fixed on the boundary
 
 
+#: Cell kinds by storage code: a netlist keeps ``kinds`` as indices into
+#: this tuple.
+CELL_KINDS = tuple(CellKind)
+
+
+def check_cell(
+    name: str,
+    width: float,
+    height: float,
+    fixed: bool,
+    x: Optional[float],
+    y: Optional[float],
+    delay: float,
+    input_cap: float,
+    power: float,
+) -> None:
+    """Raise ``ValueError`` unless the values describe a placeable cell.
+
+    Sizes must be finite and positive, a fixed cell's coordinates finite,
+    and ``delay``, ``input_cap`` and ``power`` finite: NaN compares False
+    with everything, so a ``width <= 0`` test alone lets it through.
+    """
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"cell {name!r} has non-finite size {width} x {height}")
+    if width <= 0 or height <= 0:
+        raise ValueError(
+            f"cell {name!r} has zero or negative size {width} x {height}"
+        )
+    if fixed:
+        if x is None or y is None:
+            raise ValueError(f"fixed cell {name!r} needs coordinates")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(
+                f"fixed cell {name!r} has non-finite position ({x}, {y})"
+            )
+    for field_name, value in (
+        ("delay", delay), ("input_cap", input_cap), ("power", power)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"cell {name!r} has non-finite {field_name} {value}")
+    if delay < 0:
+        raise ValueError(f"cell {name!r} has negative delay")
+
+
 @dataclass
 class Cell:
     """One placeable (or fixed) rectangle.
+
+    A cell built by its constructor is a plain record, for example one to
+    add through :mod:`repro.eco`.  A cell read from a netlist
+    (``netlist.cells[i]``) is a read-only view built on access: the netlist
+    stores its cells as arrays, and writing to a view raises
+    ``AttributeError``.  Derive a modified design with
+    :class:`~repro.netlist.builder.NetlistBuilder` or :mod:`repro.eco`.
 
     Attributes
     ----------
@@ -53,7 +104,7 @@ class Cell:
         Registers start and end timing paths.
     index:
         Position in the owning :class:`~repro.netlist.netlist.Netlist`;
-        assigned by the builder, ``-1`` until then.
+        ``-1`` for a cell that belongs to none.
     """
 
     name: str
@@ -72,40 +123,33 @@ class Cell:
     def __post_init__(self) -> None:
         self.check()
 
+    @classmethod
+    def _view(cls, index: int, **values) -> "Cell":
+        """A read-only cell over values a netlist or builder holds."""
+        view = object.__new__(cls)
+        view.__dict__.update(values, index=index, _read_only=True)
+        return view
+
+    def __setattr__(self, name: str, value) -> None:
+        if "_read_only" in self.__dict__:
+            raise AttributeError(
+                f"cell {self.name!r} is a read-only view of its netlist; "
+                "derive a modified design with NetlistBuilder or repro.eco"
+            )
+        object.__setattr__(self, name, value)
+
     def check(self) -> None:
-        """Raise ``ValueError`` unless the fields describe a placeable cell.
+        """Raise ``ValueError`` unless the fields describe a placeable cell
+        (see :func:`check_cell`).
 
         Construction runs it, and so does every
-        :class:`~repro.netlist.netlist.Netlist` for each of its cells, which
-        catches a field changed after construction.  Sizes must be finite
-        and positive, a fixed cell's coordinates finite, and ``delay``,
-        ``input_cap`` and ``power`` finite: NaN compares False with
-        everything, so a ``width <= 0`` test alone lets it through.
+        :class:`~repro.netlist.netlist.Netlist` built from cells, which
+        catches a field changed after construction.
         """
-        name = self.name
-        if not (math.isfinite(self.width) and math.isfinite(self.height)):
-            raise ValueError(
-                f"cell {name!r} has non-finite size {self.width} x {self.height}"
-            )
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(
-                f"cell {name!r} has zero or negative size "
-                f"{self.width} x {self.height}"
-            )
-        if self.fixed:
-            if self.x is None or self.y is None:
-                raise ValueError(f"fixed cell {name!r} needs coordinates")
-            if not (math.isfinite(self.x) and math.isfinite(self.y)):
-                raise ValueError(
-                    f"fixed cell {name!r} has non-finite position "
-                    f"({self.x}, {self.y})"
-                )
-        for field_name in ("delay", "input_cap", "power"):
-            value = getattr(self, field_name)
-            if not math.isfinite(value):
-                raise ValueError(f"cell {name!r} has non-finite {field_name} {value}")
-        if self.delay < 0:
-            raise ValueError(f"cell {name!r} has negative delay")
+        check_cell(
+            self.name, self.width, self.height, self.fixed, self.x, self.y,
+            self.delay, self.input_cap, self.power,
+        )
 
     @property
     def area(self) -> float:

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cell import Cell, CellKind
-from .net import Net, Pin, PinDirection
+from .builder import NetlistBuilder
+from .cell import CELL_KINDS, CellKind
 from .netlist import Netlist
 from .placement import Placement
 
@@ -124,17 +124,14 @@ def _pair_table(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise clique weights between movable cells (small nets only),
     ordered by descending weight — the heavy-edge match order."""
-    from ..evaluation.wirelength import pin_arrays
-
-    pins = pin_arrays(netlist)
-    degree = pins.degree
+    degree = netlist.net_degree
     nets = np.flatnonzero((degree >= 2) & (degree <= max_degree))
     movable = netlist.movable_mask
     parts = []
     for d in (np.unique(degree[nets]) if nets.size else []):
         nets_d = nets[degree[nets] == d]
-        offs = pins.net_start[nets_d][:, None] + np.arange(int(d))[None, :]
-        S = np.sort(pins.pin_cell[offs], axis=1)
+        offs = netlist.net_ptr[nets_d][:, None] + np.arange(int(d))[None, :]
+        S = np.sort(netlist.pin_cell[offs], axis=1)
         valid = movable[S]
         valid[:, 1:] &= S[:, 1:] != S[:, :-1]  # drop duplicate pins
         iu, jv = np.triu_indices(int(d), 1)
@@ -143,7 +140,7 @@ def _pair_table(
             S[:, iu].ravel()[mask],
             S[:, jv].ravel()[mask],
             np.repeat(nets_d, iu.size)[mask],
-            np.repeat(pins.static_weight[nets_d] / int(d), iu.size)[mask],
+            np.repeat(netlist.net_weight[nets_d] / int(d), iu.size)[mask],
         ))
     if not parts:
         e = np.zeros(0, dtype=np.int64)
@@ -208,72 +205,62 @@ def _match(
 
 
 def _build_coarse(netlist: Netlist, parent: np.ndarray) -> Clustering:
-    """Materialize the coarse netlist for a flattened parent array."""
-    from ..evaluation.wirelength import pin_arrays
-
-    num_cells = netlist.num_cells
-    root_area = np.bincount(parent, weights=netlist.areas, minlength=num_cells)
-    powers = np.fromiter(
-        (c.power for c in netlist.cells), dtype=np.float64, count=num_cells
-    )
-    root_power = np.bincount(parent, weights=powers, minlength=num_cells)
+    """Build the coarse netlist for a flattened parent array."""
+    nl = netlist
+    num_cells = nl.num_cells
+    root_area = np.bincount(parent, weights=nl.areas, minlength=num_cells)
+    root_power = np.bincount(parent, weights=nl.powers, minlength=num_cells)
 
     # Coarse cells: fixed cells first (original order), then cluster
     # representatives (original index order) — the historical builder order.
-    cells: List[Cell] = []
+    builder = NetlistBuilder(nl.name + "+coarse")
+    reps = np.flatnonzero(nl.movable_mask & (parent == np.arange(num_cells)))
+    order = np.concatenate((nl.fixed_indices, reps))
     coarse_of = np.full(num_cells, -1, dtype=np.int64)
-    for i, cell in enumerate(netlist.cells):
-        if cell.fixed:
-            coarse_of[i] = len(cells)
-            cells.append(Cell(
-                name=cell.name, width=cell.width, height=cell.height,
-                kind=cell.kind, fixed=True, x=cell.x, y=cell.y,
-                delay=cell.delay, input_cap=cell.input_cap,
-                power=cell.power, is_register=cell.is_register,
-            ))
-    for i, cell in enumerate(netlist.cells):
-        if cell.fixed or parent[i] != i:
-            continue
-        coarse_of[i] = len(cells)
-        cells.append(Cell(
-            name=cell.name,
-            width=float(root_area[i]) / cell.height,
-            height=cell.height,
-            kind=CellKind.BLOCK if cell.kind is CellKind.BLOCK
-            else CellKind.STANDARD,
-            delay=cell.delay,
-            power=float(root_power[i]),
-        ))
+    coarse_of[order] = np.arange(order.size)
+    for i in nl.fixed_indices.tolist():
+        builder.cell(
+            nl.cell_names[i], float(nl.widths[i]), float(nl.heights[i]),
+            CELL_KINDS[nl.kinds[i]], True, float(nl.cell_x[i]),
+            float(nl.cell_y[i]), float(nl.delays[i]), float(nl.input_caps[i]),
+            float(nl.powers[i]), bool(nl.register_mask[i]),
+        )
+    blocks = nl.kind_mask(CellKind.BLOCK)
+    for i, height, area, power, delay, block in zip(
+        reps.tolist(), nl.heights[reps].tolist(), root_area[reps].tolist(),
+        root_power[reps].tolist(), nl.delays[reps].tolist(),
+        blocks[reps].tolist(),
+    ):
+        builder.cell(
+            nl.cell_names[i], area / height, height,
+            CellKind.BLOCK if block else CellKind.STANDARD,
+            delay=delay, power=power,
+        )
     # Members inherit their root's coarse index in one gather (fixed cells
     # and representatives map to themselves: parent[i] == i for both).
     coarse_of = coarse_of[parent]
-    num_coarse = len(cells)
+    num_coarse = order.size
 
     # Nets: collapse pins to clusters, dedupe (keeping each target's first
     # pin), drop degenerate nets, demote extra drivers — all vectorized.
-    pins = pin_arrays(netlist)
-    if pins.pin_cell.size:
-        target = coarse_of[pins.pin_cell]
+    if nl.num_pins:
+        target = coarse_of[nl.pin_cell]
         net_of_pin = np.repeat(
-            np.arange(netlist.num_nets, dtype=np.int64), pins.degree
+            np.arange(nl.num_nets, dtype=np.int64), nl.net_degree
         )
         key = net_of_pin * np.int64(num_coarse) + target
         _, first = np.unique(key, return_index=True)
         kept = np.sort(first)  # first occurrences, net-major in pin order
         knet = net_of_pin[kept]
-        counts = np.bincount(knet, minlength=netlist.num_nets)
+        counts = np.bincount(knet, minlength=nl.num_nets)
         alive = counts[knet] >= 2
         kept, knet = kept[alive], knet[alive]
     else:
         kept = knet = np.zeros(0, dtype=np.int64)
-    ktarget = coarse_of[pins.pin_cell[kept]] if kept.size else kept
+    ktarget = coarse_of[nl.pin_cell[kept]] if kept.size else kept
 
-    nets: List[Net] = []
     if kept.size:
-        # Directions come from the cached pin arrays — the historical
-        # generator re-walked every Pin object, a full Python pass over
-        # the netlist that dominated coarsening at 1M cells.
-        is_out = pins.pin_is_out[kept]
+        is_out = nl.pin_dir[kept] == 1
         starts = np.flatnonzero(np.r_[True, knet[1:] != knet[:-1]])
         bounds = np.r_[starts, knet.size]
         # Collapsing can merge several drivers into one net; keep the
@@ -281,22 +268,20 @@ def _build_coarse(netlist: Netlist, parent: np.ndarray) -> Clustering:
         c = np.cumsum(is_out)
         seg_base = c[starts] - is_out[starts]
         rank = c - np.repeat(seg_base, np.diff(bounds))
-        keep_out = is_out & (rank == 1)
+        keep_out = (is_out & (rank == 1)).astype(np.int8).tolist()
+        cells = ktarget.tolist()
+        bounds = bounds.tolist()
+        for si, j in enumerate(knet[starts].tolist()):
+            lo, hi = bounds[si], bounds[si + 1]
+            zeros = [0.0] * (hi - lo)
+            builder.net(
+                nl.net_names[j], float(nl.net_weight[j]), cells[lo:hi],
+                keep_out[lo:hi], zeros, zeros,
+            )
 
-        OUT, IN = PinDirection.OUTPUT, PinDirection.INPUT
-        new_pins = [
-            Pin(cell=cell, direction=OUT if out else IN)
-            for cell, out in zip(ktarget.tolist(), keep_out.tolist())
-        ]
-        all_nets = netlist.nets
-        for si in range(starts.size):
-            src = all_nets[int(knet[starts[si]])]
-            nets.append(Net.trusted(
-                src.name, new_pins[bounds[si]:bounds[si + 1]], src.weight
-            ))
-
-    coarse = Netlist(netlist.name + "+coarse", cells, nets)
-    return Clustering(coarse=coarse, map_to_coarse=coarse_of, original=netlist)
+    return Clustering(
+        coarse=builder.build(), map_to_coarse=coarse_of, original=netlist
+    )
 
 
 def cluster_netlist(

@@ -340,26 +340,28 @@ def _bound_combinational_depth(builder: NetlistBuilder, max_depth: int) -> None:
     pass; the rare backward arcs are ignored here and handled by the STA's
     cycle breaking.
     """
-    cells = builder._cells
-    depth = [0] * len(cells)
+    registers = builder._cells["register_mask"]
+    fixed = builder._cells["fixed_mask"]
+    ptr, pin_cell, pin_dir = builder._net_ptr, builder._pin_cell, builder._pin_dir
+    depth = [0] * builder.num_cells
     arcs = []
-    for net in builder._nets:
-        driver = net.driver
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        pins = range(lo, hi)
+        driver = next((pin_cell[k] for k in pins if pin_dir[k]), None)
         if driver is None:
             continue
-        for pin in net.sinks:
-            if pin.cell > driver.cell:
-                arcs.append((driver.cell, pin.cell))
+        arcs.extend(
+            (driver, pin_cell[k]) for k in pins
+            if not pin_dir[k] and pin_cell[k] > driver
+        )
     arcs.sort()
     for src, dst in arcs:
-        src_cell = cells[src]
-        src_depth = 0 if (src_cell.is_register or src_cell.fixed) else depth[src]
-        dst_cell = cells[dst]
-        if dst_cell.is_register or dst_cell.fixed:
+        src_depth = 0 if (registers[src] or fixed[src]) else depth[src]
+        if registers[dst] or fixed[dst]:
             continue
         depth[dst] = max(depth[dst], src_depth + 1)
         if depth[dst] > max_depth:
-            dst_cell.is_register = True
+            builder.set_register(dst)
             depth[dst] = 0
 
 

@@ -23,16 +23,21 @@ gives back an equal netlist.
 from __future__ import annotations
 
 import io
+import itertools
+import math
 import re
 from pathlib import Path
-from typing import List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .builder import NetlistBuilder
-from .cell import Cell, CellKind
+import numpy as np
+
+from .builder import DIRECTION_CODE
+from .cell import CELL_KINDS, CellKind, check_cell
 from .memo import DESIGNS, content_key
-from .net import PinDirection
+from .net import PIN_DIRECTIONS, PinDirection, check_net
 from .netlist import Netlist
 from .placement import Placement
+from .records import FirstError, first_repeat, gather, raised, tokens_by_line
 
 MAGIC = "# repro netlist v1"
 PLACEMENT_MAGIC = "# repro placement v1"
@@ -41,10 +46,6 @@ PathLike = Union[str, Path]
 
 
 _WHITESPACE = re.compile(r"\s")
-
-
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
 
 
 def _check_names(what: str, names: Sequence[str]) -> None:
@@ -72,27 +73,39 @@ def dump_netlist(netlist: Netlist, stream: TextIO) -> None:
             "format: it must be non-empty, on one line, and not start or "
             "end with whitespace"
         )
-    _check_names("cell", [cell.name for cell in netlist.cells])
-    _check_names("net", [net.name for net in netlist.nets])
+    cells, nets = netlist.cell_names, netlist.net_names
+    _check_names("cell", cells)
+    _check_names("net", nets)
     stream.write(MAGIC + "\n")
     stream.write(f"netlist {name}\n")
-    for cell in netlist.cells:
-        fixed = "fixed" if cell.fixed else "movable"
-        x = _fmt_float(cell.x) if cell.x is not None else "-"
-        y = _fmt_float(cell.y) if cell.y is not None else "-"
-        stream.write(
-            f"cell {cell.name} {_fmt_float(cell.width)} {_fmt_float(cell.height)} "
-            f"{cell.kind.value} {fixed} {x} {y} {_fmt_float(cell.delay)} "
-            f"{_fmt_float(cell.input_cap)} {_fmt_float(cell.power)} "
-            f"{int(cell.is_register)}\n"
+    nl = netlist
+    kinds = [kind.value for kind in CELL_KINDS]
+    stream.writelines(
+        f"cell {cell} {w!r} {h!r} {kinds[kind]} "
+        f"{'fixed' if fixed else 'movable'} {repr(x) if has_x else '-'} "
+        f"{repr(y) if has_y else '-'} {delay!r} {cap!r} {power!r} {int(reg)}\n"
+        for cell, w, h, kind, fixed, x, y, has_x, has_y, delay, cap, power, reg
+        in zip(
+            cells, nl.widths.tolist(), nl.heights.tolist(), nl.kinds.tolist(),
+            nl.fixed_mask.tolist(), nl.cell_x.tolist(), nl.cell_y.tolist(),
+            nl.has_x.tolist(), nl.has_y.tolist(), nl.delays.tolist(),
+            nl.input_caps.tolist(), nl.powers.tolist(),
+            nl.register_mask.tolist(),
         )
-    for net in netlist.nets:
-        pin_tokens = " ".join(
-            f"{netlist.cells[p.cell].name}:{p.direction.value}:"
-            f"{_fmt_float(p.dx)}:{_fmt_float(p.dy)}"
-            for p in net.pins
+    )
+    directions = [d.value for d in PIN_DIRECTIONS]
+    pins = [
+        f"{cells[cell]}:{directions[d]}:{dx!r}:{dy!r}"
+        for cell, d, dx, dy in zip(
+            nl.pin_cell.tolist(), nl.pin_dir.tolist(), nl.pin_dx.tolist(),
+            nl.pin_dy.tolist(),
         )
-        stream.write(f"net {net.name} {_fmt_float(net.weight)} {pin_tokens}\n")
+    ]
+    ptr = nl.net_ptr.tolist()
+    stream.writelines(
+        f"net {net} {weight!r} {' '.join(pins[ptr[j]:ptr[j + 1]])}\n"
+        for j, (net, weight) in enumerate(zip(nets, nl.net_weight.tolist()))
+    )
 
 
 def save_netlist(netlist: Netlist, path: PathLike) -> None:
@@ -107,86 +120,249 @@ def parse_netlist(stream: TextIO, *, source: Optional[str] = None) -> Netlist:
     ``<source>:<line>: ...`` when *source* names the file, else as
     ``line <line>: ...``.
     """
+    return _parse_text(stream.read(), source)
+
+
+def _parse_text(text: str, source: Optional[str]) -> Netlist:
+    """Parse repro-format *text* (newlines already ``\\n``).
+
+    The text is split into tokens once; each field is then converted and
+    checked as one column (:class:`~repro.netlist.records.FirstError`),
+    and the error raised names the line a line-by-line reader would
+    reject first.
+    """
 
     def error(lineno: int, message: object) -> ValueError:
         where = f"{source}:{lineno}" if source else f"line {lineno}"
         return ValueError(f"{where}: {message}")
 
-    first = stream.readline().rstrip("\n")
-    if first != MAGIC:
-        raise error(1, f"not a repro netlist file (header {first!r})")
-    builder: NetlistBuilder = NetlistBuilder("unnamed")
-    first_record = True
-    for lineno, raw in enumerate(stream, start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        try:
-            if kind == "netlist":
-                # A later one would silently drop every record before it.
-                if not first_record:
-                    raise ValueError("a netlist record may only come first")
-                # The rest of the line: a design name may hold spaces.
-                builder = NetlistBuilder(line.split(None, 1)[1])
-            elif kind == "cell":
-                _parse_cell(builder, tokens)
-            elif kind == "net":
-                _parse_net(builder, tokens)
-            else:
-                raise ValueError(f"unknown record {kind!r}")
-        except (IndexError, ValueError, KeyError) as exc:
-            raise error(lineno, exc) from exc
-        first_record = False
-    return builder.build()
-
-
-def _parse_cell(builder: NetlistBuilder, tokens: List[str]) -> None:
-    (
-        _,
-        name,
-        width,
-        height,
-        kind,
-        mobility,
-        x,
-        y,
-        delay,
-        input_cap,
-        power,
-        is_register,
-    ) = tokens
-    common = dict(
-        kind=CellKind(kind),
-        delay=float(delay),
-        input_cap=float(input_cap),
-        power=float(power),
-        is_register=bool(int(is_register)),
+    header = _line(text, 0)
+    if header != MAGIC:
+        raise error(1, f"not a repro netlist file (header {header!r})")
+    tokens, offsets = tokens_by_line(text)
+    counts = np.diff(offsets)
+    lines = np.flatnonzero(counts[1:]) + 1  # non-blank lines after the header
+    kinds = tokens[offsets[lines]]
+    comment = np.fromiter(
+        map(str.startswith, kinds, itertools.repeat("#")), bool, len(kinds)
     )
-    if mobility == "fixed":
-        builder.add_fixed_cell(
-            name, float(width), float(height), x=float(x), y=float(y), **common
-        )
-    else:
-        builder.add_cell(
-            name,
-            float(width),
-            float(height),
-            x=None if x == "-" else float(x),
-            y=None if y == "-" else float(y),
-            **common,
-        )
+    lines, kinds = lines[~comment], kinds[~comment]
+    is_cell, is_net = kinds == "cell", kinds == "net"
+    name = "unnamed"
+    stop: Optional[Tuple[int, Exception]] = None  # a record of no known kind
+    other = np.flatnonzero(~(is_cell | is_net))
+    if other.size and other[0] == 0 and kinds[0] == "netlist":
+        # The rest of the line: a design name may hold spaces.
+        rest = _line(text, int(lines[0])).strip().split(None, 1)
+        if len(rest) < 2:
+            stop = (int(lines[0]) + 1, ValueError("a netlist record needs a name"))
+        name = rest[-1]
+        other = other[1:]
+    if other.size and stop is None:
+        k = int(other[0])
+        # A later netlist record would silently drop every record before it.
+        stop = (int(lines[k]) + 1, ValueError(
+            "a netlist record may only come first" if kinds[k] == "netlist"
+            else f"unknown record {kinds[k]!r}"
+        ))
+    stop_at = stop[0] if stop else len(offsets)
+    cell_at = lines[is_cell] + 1
+    net_at = lines[is_net] + 1
+    cell_at = cell_at[: np.searchsorted(cell_at, stop_at)]
+    net_at = net_at[: np.searchsorted(net_at, stop_at)]
+
+    cells = FirstError(cell_at.size)
+    names, columns = _cell_columns(tokens, offsets[cell_at - 1], counts[cell_at - 1], cells)
+    if cells.error is not None:
+        stop_at = min(stop_at, int(cell_at[cells.limit]))
+        net_at = net_at[: np.searchsorted(net_at, stop_at)]
+    nets = FirstError(net_at.size)
+    net_names, net_columns = _net_columns(
+        tokens, offsets[net_at - 1], counts[net_at - 1], net_at, nets,
+        names, cell_at,
+    )
+    if nets.error is not None:
+        raise error(int(net_at[nets.limit]), nets.error)
+    if cells.error is not None and cell_at[cells.limit] == stop_at:
+        raise error(stop_at, cells.error)
+    if stop is not None:
+        raise error(*stop)
+    return Netlist.from_columns(name, names, net_names, **columns, **net_columns)
 
 
-def _parse_net(builder: NetlistBuilder, tokens: List[str]) -> None:
-    name = tokens[1]
-    weight = float(tokens[2])
-    pins = []
-    for token in tokens[3:]:
-        cell_name, direction, dx, dy = token.rsplit(":", 3)
-        pins.append((cell_name, direction, float(dx), float(dy)))
-    builder.add_net(name, pins, weight=weight)
+def _line(text: str, k: int) -> str:
+    """Line *k* of ``text.split("\\n")``, without splitting the rest."""
+    start = 0
+    for _ in range(k):
+        start = text.index("\n", start) + 1
+    end = text.find("\n", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
+_KIND_CODES = {kind.value: code for code, kind in enumerate(CELL_KINDS)}
+_REGISTER = {"0": False, "1": True}
+
+
+def _coded(
+    first: FirstError, table: dict, parse: Callable[[str], object],
+    tokens: Sequence[str],
+) -> List:
+    """The codes of *tokens* in *table*.  A token the table lacks is
+    *parse*d instead, which gives its code or rejects it with its own
+    message; the common case makes no Python call per token."""
+    codes = list(map(table.get, tokens[: first.limit]))
+    if None in codes:
+        codes = first.convert(lambda t: table[t] if t in table else parse(t), tokens)
+    return codes
+
+
+def _cell_columns(
+    tokens: np.ndarray, off: np.ndarray, count: np.ndarray, first: FirstError
+) -> Tuple[List[str], dict]:
+    """The names and columns of the ``cell`` records at token offsets
+    *off*, checked in the order a record is: its fields convert, then its
+    values, then its name."""
+    first.check(count != 12, lambda k: ValueError(
+        "a cell record has 12 fields: cell name width height kind mobility "
+        f"x y delay input_cap power is_register (got {count[k]})"
+    ))
+
+    def field(f: int) -> List[str]:
+        return gather(tokens, off[: first.limit] + f)
+
+    names = field(1)
+    kinds = _coded(first, _KIND_CODES, lambda t: CELL_KINDS.index(CellKind(t)), field(4))
+    delays = first.convert(float, field(8))
+    caps = first.convert(float, field(9))
+    powers = first.convert(float, field(10))
+    registers = _coded(first, _REGISTER, lambda t: bool(int(t)), field(11))
+    widths = first.convert(float, field(2))
+    heights = first.convert(float, field(3))
+    at = off[: first.limit]
+    fixed = tokens[at + 5] == "fixed"
+    # "-" states no hint (read as 0.0); a fixed cell needs a number.
+    x, y = field(6), field(7)
+    has_x, has_y = tokens[at + 6] != "-", tokens[at + 7] != "-"
+    xs = first.convert(float, [t if h or f else "0" for t, h, f in zip(x, has_x, fixed)])
+    ys = first.convert(float, [t if h or f else "0" for t, h, f in zip(y, has_y, fixed)])
+    n = first.limit
+    values = dict(
+        widths=np.array(widths[:n]), heights=np.array(heights[:n]),
+        kinds=kinds[:n], fixed_mask=fixed[:n],
+        cell_x=np.array(xs[:n]), cell_y=np.array(ys[:n]),
+        has_x=has_x[:n], has_y=has_y[:n], delays=np.array(delays[:n]),
+        input_caps=np.array(caps[:n]), powers=np.array(powers[:n]),
+        register_mask=registers[:n],
+    )
+    w, h, d = values["widths"], values["heights"], values["delays"]
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.isfinite(w) & np.isfinite(h) & (w > 0) & (h > 0))
+        bad |= fixed[:n] & ~(np.isfinite(values["cell_x"]) & np.isfinite(values["cell_y"]))
+        bad |= ~(np.isfinite(d) & np.isfinite(values["input_caps"])
+                 & np.isfinite(values["powers"]))
+        bad |= d < 0
+    first.check(bad, lambda k: raised(
+        check_cell, names[k], widths[k], heights[k], fixed[k],
+        xs[k] if has_x[k] else None, ys[k] if has_y[k] else None,
+        delays[k], caps[k], powers[k],
+    ))
+    _check_unique(first, names, "cell")
+    n = first.limit
+    return names[:n], {column: v[:n] for column, v in values.items()}
+
+
+def _check_unique(first: FirstError, names: Sequence[str], what: str) -> None:
+    """Fail at the first record whose name an earlier record took."""
+    k = first_repeat(names[: first.limit])
+    if k is not None:
+        first.fail(k, ValueError(f"duplicate {what} name {names[k]!r}"))
+
+
+def _net_columns(
+    tokens: np.ndarray,
+    off: np.ndarray,
+    count: np.ndarray,
+    net_at: np.ndarray,
+    first: FirstError,
+    cell_names: List[str],
+    cell_at: np.ndarray,
+) -> Tuple[List[str], dict]:
+    """The names and the net and pin columns of the ``net`` records at
+    token offsets *off*, checked in the order a record is.  A pin may name
+    only a cell of an earlier line."""
+    first.check(count < 3, lambda k: ValueError(
+        "a net record needs a name and a weight"
+    ))
+    m = first.limit
+    names = gather(tokens, off[:m] + 1)
+    weights = first.convert(float, gather(tokens, off[:m] + 2))
+    m = first.limit
+    degree = count[:m] - 3
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(degree, out=ptr[1:])
+    pin_net = np.repeat(np.arange(m), degree)
+    pin_tokens = gather(
+        tokens, np.arange(int(ptr[-1])) + np.repeat(off[:m] + 3 - ptr[:-1], degree)
+    )
+    pins = FirstError(len(pin_tokens))
+    cells, dirs, dx, dy = _pin_fields(pin_tokens, pins)
+    dxs = pins.convert(float, dx)
+    dys = pins.convert(float, dy)
+    first.absorb(pins, pin_net)
+
+    _check_unique(first, names, "net")
+    # Then pin by pin: its cell, its offsets, its direction.
+    pins = FirstError(int(ptr[first.limit]))
+    index = {cell: k for k, cell in enumerate(cell_names)}
+    cell = np.fromiter(
+        map(index.get, cells[: pins.limit], itertools.repeat(-1)),
+        dtype=np.int64, count=pins.limit,
+    )
+    defined_at = np.append(cell_at[: len(cell_names)], 0)
+    unknown = (cell < 0) | (defined_at[cell] > net_at[pin_net[: pins.limit]])
+    pins.check(unknown, lambda p: KeyError(
+        f"net {names[pin_net[p]]!r} references unknown cell {cells[p]!r}"
+    ))
+    dxs, dys = np.array(dxs[: pins.limit]), np.array(dys[: pins.limit])
+    pins.check(~(np.isfinite(dxs) & np.isfinite(dys)), lambda p: ValueError(
+        f"net {names[pin_net[p]]!r}: non-finite pin offset "
+        f"({float(dxs[p])!r}, {float(dys[p])!r}) on cell {cells[p]!r}"
+    ))
+    codes = np.array(
+        _coded(pins, DIRECTION_CODE, lambda t: PIN_DIRECTIONS.index(PinDirection(t)), dirs),
+        dtype=np.int8,
+    )
+    first.absorb(pins, pin_net)
+
+    m = first.limit
+    p = int(ptr[m])
+    drivers = np.bincount(pin_net[:p], weights=codes[:p], minlength=m)
+    weight = np.array(weights[:m])
+    with np.errstate(invalid="ignore"):
+        bad = (degree[:m] < 1) | ~(np.isfinite(weight) & (weight > 0)) | (drivers > 1)
+    first.check(bad, lambda j: raised(
+        check_net, names[j], int(degree[j]), weights[j], int(drivers[j])
+    ))
+    m = first.limit
+    p = int(ptr[m])
+    return names[:m], dict(
+        net_weight=weight[:m], net_ptr=ptr[: m + 1], pin_cell=cell[:p],
+        pin_dir=codes[:p], pin_dx=dxs[:p], pin_dy=dys[:p],
+    )
+
+
+def _pin_fields(tokens: List[str], pins: FirstError) -> Tuple[Sequence[str], ...]:
+    """The ``cell``, ``direction``, ``dx`` and ``dy`` columns of pin tokens
+    ``cell:direction:dx:dy`` (a cell name may hold colons)."""
+    colons = list(map(str.count, tokens, itertools.repeat(":")))
+    if colons.count(3) == len(tokens):  # one split for all: 4 fields each
+        fields = ":".join(tokens).split(":") if tokens else []
+        return fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    pins.check([c < 3 for c in colons], lambda p: ValueError(
+        f"malformed pin {tokens[p]!r} (want cell:direction:dx:dy)"
+    ))
+    parts = [token.rsplit(":", 3) for token in tokens[: pins.limit]]
+    return tuple(zip(*parts)) or ((),) * 4
 
 
 def load_netlist(path: PathLike) -> Netlist:
@@ -254,7 +430,9 @@ def _memo_parse(
     key = _text_key(text)
 
     def parse():
-        netlist = parse_netlist(io.StringIO(text, newline=None), source=source)
+        netlist = _parse_text(
+            text.replace("\r\n", "\n").replace("\r", "\n"), source
+        )
         if canonical:  # pickled text is the netlist's own canonical text
             netlist._canonical = (text, key)
         return netlist, None
@@ -270,34 +448,57 @@ def save_placement(placement: Placement, path: PathLike) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(PLACEMENT_MAGIC + "\n")
         f.write(f"netlist {placement.netlist.name}\n")
-        for cell, x, y in zip(placement.netlist.cells, placement.x, placement.y):
-            f.write(f"{cell.name} {_fmt_float(x)} {_fmt_float(y)}\n")
+        for name, x, y in zip(
+            placement.netlist.cell_names, placement.x.tolist(), placement.y.tolist()
+        ):
+            f.write(f"{name} {x!r} {y!r}\n")
 
 
 def load_placement(netlist: Netlist, path: PathLike) -> Placement:
-    """Read a placement file back onto *netlist* (all cells required)."""
-    coords = {}
-    with open(path, "r", encoding="utf-8") as f:
-        first = f.readline().rstrip("\n")
-        if first != PLACEMENT_MAGIC:
-            raise ValueError(f"not a repro placement file (header {first!r})")
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("netlist "):
-                continue
-            name, x, y = line.split()
-            coords[name] = (float(x), float(y))
-    placement = Placement(
-        netlist,
-        x=netlist.fixed_x.copy(),
-        y=netlist.fixed_y.copy(),
-    )
-    for cell in netlist.cells:
-        if cell.name not in coords:
-            raise ValueError(f"placement file misses cell {cell.name!r}")
-        x, y = coords[cell.name]
-        if not cell.fixed:
-            placement.x[cell.index] = x
-            placement.y[cell.index] = y
-    placement.reset_fixed()
-    return placement
+    """Read a placement file back onto *netlist*.
+
+    Every cell needs exactly one ``<name> <x> <y>`` record with finite
+    coordinates; fixed cells keep their netlist positions.  A bad record
+    raises ``ValueError`` as ``<file>:<line>: ...``, a missing cell as
+    ``<file>: ...``.
+    """
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+
+    def error(lineno: int, message: str) -> ValueError:
+        return ValueError(f"{path.name}:{lineno}: {message}")
+
+    if lines[0] != PLACEMENT_MAGIC:
+        raise error(1, f"not a repro placement file (header {lines[0]!r})")
+    index = {name: i for i, name in enumerate(netlist.cell_names)}
+    x, y = netlist.fixed_x.copy(), netlist.fixed_y.copy()
+    first_line: Dict[str, int] = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith("netlist "):
+            continue
+        parts = line.split()
+        try:
+            if len(parts) != 3:
+                raise ValueError
+            name, cx, cy = parts[0], float(parts[1]), float(parts[2])
+        except ValueError:
+            raise error(
+                lineno, f"malformed placement record {line!r} (want: name x y)"
+            ) from None
+        if name not in index:
+            raise error(lineno, f"placement names unknown cell {name!r}")
+        if name in first_line:
+            raise error(
+                lineno,
+                f"duplicate record for cell {name!r} "
+                f"(first at line {first_line[name]})",
+            )
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise error(lineno, f"cell {name!r} has non-finite position ({cx}, {cy})")
+        first_line[name] = lineno
+        x[index[name]], y[index[name]] = cx, cy
+    if len(first_line) != netlist.num_cells:
+        missing = next(n for n in netlist.cell_names if n not in first_line)
+        raise ValueError(f"{path.name}: placement file misses cell {missing!r}")
+    return Placement(netlist, x, y)  # re-pins the fixed cells

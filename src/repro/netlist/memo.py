@@ -40,9 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     Entry = Tuple[Netlist, Optional[PlacementRegion]]
 
 #: Total cells of the designs the memo keeps alive by itself: a dozen
-#: 1.2k-cell designs, about 20 MB.  Fewer than one 100k-cell design.  A
-#: forked worker inherits what its parent holds, so a larger bound raises
-#: the resident size of every pool process.
+#: 1.2k-cell designs, about 7.5 MB with their canonical text (0.6 MB
+#: each).  Fewer than one 100k-cell design.  A forked worker inherits
+#: what its parent holds, so a larger bound raises the resident size of
+#: every pool process.
 MAX_CELLS = 16_384
 
 

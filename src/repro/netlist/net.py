@@ -15,12 +15,31 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 class PinDirection(enum.Enum):
     INPUT = "input"
     OUTPUT = "output"
+
+
+#: Pin directions by storage code: a netlist keeps ``pin_dir`` as indices
+#: into this tuple, so ``pin_dir == 1`` marks the driving pins.
+PIN_DIRECTIONS = (PinDirection.INPUT, PinDirection.OUTPUT)
+
+
+def check_net(name: str, num_pins: int, weight: float, num_drivers: int) -> None:
+    """Raise ``ValueError`` unless the values describe a valid net: at
+    least one pin, a finite positive weight and at most one driver."""
+    if num_pins < 1:
+        raise ValueError(f"net {name!r} has no pins")
+    # NaN compares False with everything: "weight <= 0" lets it pass.
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError(
+            f"net {name!r} needs a finite, positive weight, got {weight!r}"
+        )
+    if num_drivers > 1:
+        raise ValueError(f"net {name!r} has multiple drivers")
 
 
 @dataclass(frozen=True)
@@ -40,6 +59,10 @@ class Pin:
 class Net:
     """One hyperedge.
 
+    Like :class:`~repro.netlist.cell.Cell`, a net read from a netlist is a
+    read-only view built on access, with its pins as a tuple; a net built
+    by its constructor is a plain record.
+
     Attributes
     ----------
     name:
@@ -53,43 +76,36 @@ class Net:
         *outside* the netlist (in :class:`~repro.timing.weights.NetWeights`)
         so a netlist is immutable during a placement run.
     index:
-        Position in the owning netlist, assigned by the builder.
+        Position in the owning netlist, ``-1`` for a net that belongs to
+        none.
     """
 
     name: str
-    pins: List[Pin]
+    pins: Sequence[Pin]
     weight: float = 1.0
     index: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.pins) < 1:
-            raise ValueError(f"net {self.name!r} has no pins")
-        # NaN compares False with everything: "weight <= 0" lets it pass.
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(
-                f"net {self.name!r} needs a finite, positive weight, "
-                f"got {self.weight!r}"
-            )
-        if len(self.driver_pins()) > 1:
-            raise ValueError(f"net {self.name!r} has multiple drivers")
+        check_net(self.name, len(self.pins), self.weight, len(self.driver_pins()))
 
     @classmethod
-    def trusted(
-        cls, name: str, pins: List[Pin], weight: float = 1.0
+    def _view(
+        cls, index: int, name: str, pins: Tuple[Pin, ...], weight: float
     ) -> "Net":
-        """Construct without ``__post_init__`` validation.
+        """A read-only net over values a netlist or builder holds."""
+        view = object.__new__(cls)
+        view.__dict__.update(
+            name=name, pins=pins, weight=weight, index=index, _read_only=True
+        )
+        return view
 
-        For bulk construction (coarsening, generators) where the caller
-        guarantees the invariants — at least one pin, positive weight, a
-        single driver.  The per-net ``driver_pins`` scan is the dominant
-        cost of building a 100k-net netlist.
-        """
-        net = object.__new__(cls)
-        net.name = name
-        net.pins = pins
-        net.weight = weight
-        net.index = -1
-        return net
+    def __setattr__(self, name: str, value) -> None:
+        if "_read_only" in self.__dict__:
+            raise AttributeError(
+                f"net {self.name!r} is a read-only view of its netlist; "
+                "derive a modified design with NetlistBuilder or repro.eco"
+            )
+        object.__setattr__(self, name, value)
 
     @property
     def degree(self) -> int:

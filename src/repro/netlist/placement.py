@@ -78,8 +78,11 @@ class Placement:
         return (self.x - nl.widths / 2.0, self.y - nl.heights / 2.0)
 
     def rect_of(self, cell_index: int) -> Rect:
-        cell = self.netlist.cells[cell_index]
-        return cell.rect_at(float(self.x[cell_index]), float(self.y[cell_index]))
+        nl = self.netlist
+        return Rect.from_center(
+            float(self.x[cell_index]), float(self.y[cell_index]),
+            float(nl.widths[cell_index]), float(nl.heights[cell_index]),
+        )
 
     def rects(self, movable_only: bool = False) -> List[Rect]:
         indices = (
@@ -89,12 +92,17 @@ class Placement:
         )
         return [self.rect_of(int(i)) for i in indices]
 
+    def pin_coords(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Absolute coordinates of every pin, in the netlist's pin order."""
+        nl = self.netlist
+        return self.x[nl.pin_cell] + nl.pin_dx, self.y[nl.pin_cell] + nl.pin_dy
+
     def pin_positions(self, net_index: int) -> Tuple[np.ndarray, np.ndarray]:
         """Absolute coordinates of every pin of the net."""
-        net = self.netlist.nets[net_index]
-        px = np.array([self.x[p.cell] + p.dx for p in net.pins])
-        py = np.array([self.y[p.cell] + p.dy for p in net.pins])
-        return px, py
+        nl = self.netlist
+        pins = slice(nl.net_ptr[net_index], nl.net_ptr[net_index + 1])
+        cells = nl.pin_cell[pins]
+        return self.x[cells] + nl.pin_dx[pins], self.y[cells] + nl.pin_dy[pins]
 
     # ------------------------------------------------------------------
     # Editing helpers
@@ -102,7 +110,7 @@ class Placement:
     def move_to(self, cell_index: int, x: float, y: float) -> None:
         if self.netlist.fixed_mask[cell_index]:
             raise ValueError(
-                f"cell {self.netlist.cells[cell_index].name!r} is fixed"
+                f"cell {self.netlist.cell_names[cell_index]!r} is fixed"
             )
         self.x[cell_index] = x
         self.y[cell_index] = y

@@ -1,12 +1,12 @@
 """Input validation and repair for netlists entering the placement pipeline.
 
 :class:`~repro.netlist.netlist.Netlist` construction rejects structurally
-broken inputs (duplicate names, out-of-range pin indices, non-finite or
-negative cell sizes).  This module handles the grey zone: inputs that are
-*formally* valid but would poison or degrade a placement run — degenerate
-all-same-cell nets, zero-area cells smuggled in through dataclass mutation,
-non-finite initial position hints, fixed cells pinned outside the placement
-region.
+broken inputs (duplicate names, out-of-range pin indices, non-finite,
+zero or negative cell sizes), and a netlist's cells are read-only views,
+so no size can change afterwards.  This module handles the grey zone:
+inputs that are *formally* valid but would poison or degrade a placement
+run — degenerate all-same-cell nets, non-finite initial position hints,
+fixed cells pinned outside the placement region.
 
 :func:`validate_netlist` either repairs these in place (permissive mode,
 the default) or rejects them (``strict=True``), and always returns a
@@ -16,7 +16,7 @@ it did about it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,7 +30,7 @@ class ValidationIssue:
     """One defect found in a netlist.
 
     ``code`` is a stable machine-readable identifier (``nonfinite-hint``,
-    ``degenerate-size``, ``degenerate-net``, ``fixed-outside-region``),
+    ``degenerate-net``, ``fixed-outside-region``),
     ``subject`` the offending cell or net name, ``message`` the human
     explanation, and ``repaired`` whether permissive mode fixed it.
     """
@@ -72,14 +72,6 @@ class ValidationReport:
         return f"{len(self.issues)} issue(s): {parts} ({self.num_repairs} repaired)"
 
 
-def _inside_closed(region: PlacementRegion, x: float, y: float) -> bool:
-    """Closed containment: pads conventionally sit *on* the boundary."""
-    bounds = region.bounds
-    return bool(
-        bounds.xlo <= x <= bounds.xhi and bounds.ylo <= y <= bounds.yhi
-    )
-
-
 def validate_netlist(
     netlist: Netlist,
     region: Optional[PlacementRegion] = None,
@@ -91,12 +83,11 @@ def validate_netlist(
 
     - movable cells with non-finite initial position hints (the hint is
       dropped — the placer starts them at the region center anyway);
-    - cells with non-finite or non-positive width/height (the dimension is
-      bumped to the median of the healthy cells, falling back to ``1.0``);
     - nets whose pins all sit on one cell — they contribute nothing to the
       quadratic system but still cost clique expansion (the net is dropped);
     - with *region* given, fixed cells whose center lies outside it (the
-      center is clamped onto the region boundary).
+      center is clamped onto the region boundary).  Pads conventionally
+      sit *on* the boundary, so containment is closed.
 
     In permissive mode (default) every defect is repaired and recorded; a
     new :class:`Netlist` is built only if something actually changed.  With
@@ -108,87 +99,69 @@ def validate_netlist(
     """
     issues: List[ValidationIssue] = []
     repaired = not strict
+    nl = netlist
+    columns = nl.columns()
+    x, y = nl.cell_x.copy(), nl.cell_y.copy()
+    has_x, has_y = nl.has_x.copy(), nl.has_y.copy()
 
-    widths = netlist.widths
-    heights = netlist.heights
-    healthy = np.isfinite(widths) & (widths > 0) & np.isfinite(heights) & (heights > 0)
-    fallback_w = float(np.median(widths[healthy])) if healthy.any() else 1.0
-    fallback_h = float(np.median(heights[healthy])) if healthy.any() else 1.0
+    with np.errstate(invalid="ignore"):
+        bad_hint = nl.movable_mask & (
+            (has_x & ~np.isfinite(x)) | (has_y & ~np.isfinite(y))
+        )
+        outside = np.zeros(nl.num_cells, dtype=bool)
+        if region is not None:
+            b = region.bounds
+            outside = nl.fixed_mask & ~(
+                (b.xlo <= x) & (x <= b.xhi) & (b.ylo <= y) & (y <= b.yhi)
+            )
+    for i in np.flatnonzero(bad_hint | outside).tolist():
+        name = nl.cell_names[i]
+        cx = float(x[i]) if has_x[i] else None
+        cy = float(y[i]) if has_y[i] else None
+        if bad_hint[i]:
+            has_x[i] = has_y[i] = False
+            x[i] = y[i] = 0.0
+            issues.append(ValidationIssue(
+                code="nonfinite-hint",
+                subject=name,
+                message=(
+                    f"initial position hint ({cx}, {cy}) is not finite; "
+                    "dropping it"
+                ),
+                repaired=repaired,
+            ))
+        else:
+            b = region.bounds
+            x[i] = float(np.clip(cx, b.xlo, b.xhi))
+            y[i] = float(np.clip(cy, b.ylo, b.yhi))
+            issues.append(ValidationIssue(
+                code="fixed-outside-region",
+                subject=name,
+                message=(
+                    f"fixed at ({cx}, {cy}), outside the region; "
+                    f"clamping to ({x[i]}, {y[i]})"
+                ),
+                repaired=repaired,
+            ))
 
-    new_cells = list(netlist.cells)
-    for i, cell in enumerate(netlist.cells):
-        fixes = {}
-        if not (np.isfinite(cell.width) and cell.width > 0):
-            fixes["width"] = fallback_w
-        if not (np.isfinite(cell.height) and cell.height > 0):
-            fixes["height"] = fallback_h
-        if fixes:
-            issues.append(
-                ValidationIssue(
-                    code="degenerate-size",
-                    subject=cell.name,
-                    message=(
-                        f"size {cell.width} x {cell.height} is not a positive "
-                        f"finite area; using {fixes.get('width', cell.width)} x "
-                        f"{fixes.get('height', cell.height)}"
-                    ),
-                    repaired=repaired,
-                )
-            )
-        if not cell.fixed:
-            hint_bad = (
-                cell.x is not None and not np.isfinite(cell.x)
-            ) or (cell.y is not None and not np.isfinite(cell.y))
-            if hint_bad:
-                fixes["x"] = None
-                fixes["y"] = None
-                issues.append(
-                    ValidationIssue(
-                        code="nonfinite-hint",
-                        subject=cell.name,
-                        message=(
-                            f"initial position hint ({cell.x}, {cell.y}) is "
-                            "not finite; dropping it"
-                        ),
-                        repaired=repaired,
-                    )
-                )
-        elif region is not None and not _inside_closed(region, cell.x, cell.y):
-            bounds = region.bounds
-            fixes["x"] = float(np.clip(cell.x, bounds.xlo, bounds.xhi))
-            fixes["y"] = float(np.clip(cell.y, bounds.ylo, bounds.yhi))
-            issues.append(
-                ValidationIssue(
-                    code="fixed-outside-region",
-                    subject=cell.name,
-                    message=(
-                        f"fixed at ({cell.x}, {cell.y}), outside the region; "
-                        f"clamping to ({fixes['x']}, {fixes['y']})"
-                    ),
-                    repaired=repaired,
-                )
-            )
-        if fixes and repaired:
-            new_cells[i] = replace(cell, **fixes)
-
-    new_nets = []
-    for net in netlist.nets:
-        cells_on_net = set(net.cells())
-        if len(cells_on_net) <= 1:
-            issues.append(
-                ValidationIssue(
-                    code="degenerate-net",
-                    subject=net.name,
-                    message=(
-                        f"all {net.degree} pin(s) sit on one cell; the net "
-                        "constrains nothing and is dropped"
-                    ),
-                    repaired=repaired,
-                )
-            )
-            if repaired:
-                continue
-        new_nets.append(net)
+    keep = np.ones(nl.num_nets, dtype=bool)
+    if nl.num_nets:
+        starts = nl.net_ptr[:-1]
+        one_cell = (
+            np.minimum.reduceat(nl.pin_cell, starts)
+            == np.maximum.reduceat(nl.pin_cell, starts)
+        )
+        for j in np.flatnonzero(one_cell).tolist():
+            keep[j] = False
+            issues.append(ValidationIssue(
+                code="degenerate-net",
+                subject=nl.net_names[j],
+                message=(
+                    f"all {int(nl.net_degree[j])} pin(s) sit on one cell; "
+                    "the net constrains nothing and is dropped"
+                ),
+                repaired=repaired,
+            ))
 
     report = ValidationReport(issues=issues)
     if strict and issues:
@@ -196,11 +169,15 @@ def validate_netlist(
         raise ValueError(f"netlist {netlist.name!r} failed validation: {detail}")
     if report.num_repairs == 0:
         return netlist, report
-    # Rebuild rather than mutate: Netlist is immutable by contract, and its
-    # construction re-derives every cached array from the repaired cells.
-    rebuilt = Netlist(
-        netlist.name,
-        [replace(c) for c in new_cells],
-        [replace(n, pins=list(n.pins)) for n in new_nets],
+    # Rebuild rather than mutate: a Netlist is immutable, and construction
+    # re-derives every array from the repaired columns.
+    pins = np.repeat(keep, nl.net_degree)
+    columns.update(
+        cell_x=x, cell_y=y, has_x=has_x, has_y=has_y,
+        net_weight=nl.net_weight[keep],
+        net_ptr=np.concatenate(([0], np.cumsum(nl.net_degree[keep]))),
+        **{c: columns[c][pins] for c in ("pin_cell", "pin_dir", "pin_dx", "pin_dy")},
     )
+    names = [n for n, k in zip(nl.net_names, keep.tolist()) if k]
+    rebuilt = Netlist.from_columns(nl.name, nl.cell_names, names, **columns)
     return rebuilt, report

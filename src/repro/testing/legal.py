@@ -37,11 +37,7 @@ def _movable_std(placement: Placement) -> np.ndarray:
     movable = nl.movable_indices
     if not movable.size:
         return movable
-    mask = np.array(
-        [nl.cells[int(i)].kind is not CellKind.BLOCK for i in movable],
-        dtype=bool,
-    )
-    return movable[mask]
+    return movable[~nl.kind_mask(CellKind.BLOCK)[movable]]
 
 
 def assert_legal(
@@ -64,9 +60,7 @@ def assert_legal(
 
     # Fixed cells untouched.
     if reference is not None:
-        fixed = np.array(
-            [c.index for c in nl.cells if c.fixed], dtype=np.int64
-        )
+        fixed = nl.fixed_indices
         if fixed.size:
             dx = placement.x[fixed] - reference.x[fixed]
             dy = placement.y[fixed] - reference.y[fixed]

@@ -198,11 +198,8 @@ class AbacusLegalizer:
         states = [_SegmentState(seg) for seg in self.segments]
         seg_center_y = np.array([s.center_y for s in self.segments])
 
-        targets = [
-            i
-            for i in nl.movable_indices
-            if nl.cells[i].kind is not CellKind.BLOCK
-        ]
+        movable = nl.movable_indices
+        targets = list(movable[~nl.kind_mask(CellKind.BLOCK)[movable]])
         # Left-to-right sweep over desired x positions.
         targets.sort(key=lambda i: placement.x[i] - nl.widths[i] / 2.0)
 

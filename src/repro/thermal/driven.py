@@ -51,7 +51,7 @@ class HeatDrivenPlacer:
             conductivity=conductivity,
         )
         self.heat_weight = heat_weight
-        if not any(c.power > 0 for c in netlist.cells):
+        if not np.any(netlist.powers > 0):
             raise ValueError("heat-driven placement needs cells with power > 0")
 
     def place(self, initial: Optional[Placement] = None) -> HeatResult:

@@ -29,7 +29,7 @@ from ..core.density import splat_bilinear
 def power_map(placement: Placement, grid: Grid) -> np.ndarray:
     """Dissipated power per bin (watts), cell power splatted bilinearly."""
     nl = placement.netlist
-    powers = np.array([c.power for c in nl.cells])
+    powers = nl.powers
     active = np.flatnonzero(powers > 0.0)
     if active.size == 0:
         return grid.zeros()

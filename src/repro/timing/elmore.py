@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..evaluation.wirelength import net_hpwl
-from ..netlist import Netlist, Placement, PinDirection
+from ..netlist import Netlist, Placement
 
 # Section 6.2 parameters.
 RESISTANCE_PER_METER = 25.5e3  # ohm / m
@@ -60,11 +60,12 @@ class ElmoreModel:
 
 def net_sink_capacitance(netlist: Netlist) -> np.ndarray:
     """Total input-pin capacitance per net (farads)."""
-    caps = np.zeros(netlist.num_nets)
-    for net in netlist.nets:
-        caps[net.index] = sum(
-            netlist.cells[p.cell].input_cap
-            for p in net.pins
-            if p.direction is PinDirection.INPUT
-        )
-    return caps
+    nl = netlist
+    sinks = nl.pin_dir == 0
+    net_of_pin = np.repeat(np.arange(nl.num_nets), nl.net_degree)
+    # bincount adds each net's sink capacitances in pin order, as a
+    # per-net running sum would.
+    return np.bincount(
+        net_of_pin[sinks], weights=nl.input_caps[nl.pin_cell[sinks]],
+        minlength=nl.num_nets,
+    )

@@ -25,7 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..netlist import Netlist, PinDirection
+from ..netlist import Netlist
 
 DEFAULT_MAX_TIMING_DEGREE = 60
 
@@ -66,29 +66,28 @@ class TimingGraph:
         return src, dst, net
 
 
-def _is_boundary(netlist: Netlist, cell_index: int) -> bool:
-    cell = netlist.cells[cell_index]
-    return cell.is_register or cell.fixed
-
-
 def build_timing_graph(
     netlist: Netlist, max_timing_degree: int = DEFAULT_MAX_TIMING_DEGREE
 ) -> TimingGraph:
     """Extract the combinational timing DAG of a netlist."""
     raw_arcs: List[TimingArc] = []
-    for net in netlist.nets:
-        if net.degree > max_timing_degree:
+    ptr = netlist.net_ptr.tolist()
+    pin_cell, pin_dir = netlist.pin_cell.tolist(), netlist.pin_dir.tolist()
+    for j in range(netlist.num_nets):
+        pins = range(ptr[j], ptr[j + 1])
+        if len(pins) > max_timing_degree:
             continue
-        driver = net.driver
+        driver = next((pin_cell[p] for p in pins if pin_dir[p]), None)
         if driver is None:
             continue
-        for pin in net.pins:
-            if pin.direction is not PinDirection.INPUT or pin.cell == driver.cell:
+        for p in pins:
+            if pin_dir[p] or pin_cell[p] == driver:
                 continue
-            raw_arcs.append(TimingArc(src=driver.cell, dst=pin.cell, net=net.index))
+            raw_arcs.append(TimingArc(src=driver, dst=pin_cell[p], net=j))
 
     n = netlist.num_cells
-    boundary = np.array([_is_boundary(netlist, i) for i in range(n)], dtype=bool)
+    # Registers and fixed cells (pads) start and end timing paths.
+    boundary = netlist.register_mask | netlist.fixed_mask
     out_arcs: List[List[int]] = [[] for _ in range(n)]
     in_arcs: List[List[int]] = [[] for _ in range(n)]
     in_degree = np.zeros(n, dtype=np.int64)

@@ -39,7 +39,7 @@ def critical_path_report(
             arc = arcs_by_pair.get((cell_index, path[k + 1]))
             if arc is not None:
                 net_delay = float(sta.net_delays_ns[arc.net])
-                net_name = nl.nets[arc.net].name
+                net_name = nl.net_names[arc.net]
         # Boundary cells end the path: their own delay belongs to the next
         # stage, except at the source where clk-to-q starts the clock.
         if k == 0 or not (cell.is_register or cell.fixed):

@@ -72,11 +72,8 @@ class StaticTimingAnalyzer:
             netlist, max_timing_degree=max_timing_degree
         )
         self._sink_caps = net_sink_capacitance(netlist)
-        self._delays = np.array([c.delay for c in netlist.cells])
-        self._is_source = np.zeros(netlist.num_cells, dtype=bool)
-        for i in range(netlist.num_cells):
-            cell = netlist.cells[i]
-            self._is_source[i] = cell.is_register or cell.fixed
+        self._delays = np.array(netlist.delays)
+        self._is_source = netlist.register_mask | netlist.fixed_mask
         # Arcs ordered so that every src appears in topological order.
         topo_pos = np.zeros(netlist.num_cells, dtype=np.int64)
         for pos, cell_index in enumerate(self.graph.topo_order):

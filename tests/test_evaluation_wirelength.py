@@ -7,7 +7,6 @@ from repro import Placement, hpwl, hpwl_meters
 from repro.evaluation import (
     net_bounding_boxes,
     net_hpwl,
-    pin_arrays,
     quadratic_wirelength,
 )
 
@@ -94,33 +93,12 @@ class TestBoundingBoxesAndCache:
         assert boxes.shape == (3, 4)
         assert boxes[1].tolist() == [30.0, 50.0, 70.0, 60.0]
 
-    def test_pin_arrays_cached(self, four_cell_netlist):
-        a = pin_arrays(four_cell_netlist)
-        b = pin_arrays(four_cell_netlist)
-        assert a is b
-
     def test_pin_arrays_structure(self, four_cell_netlist):
-        arrays = pin_arrays(four_cell_netlist)
-        assert arrays.net_start.tolist() == [0, 2, 4, 6]
-        assert arrays.degree.tolist() == [2, 2, 2]
-
-    def test_cache_entry_dies_with_netlist(self):
-        import gc
-
-        from repro import NetlistBuilder
-        from repro.evaluation.wirelength import _PIN_ARRAY_CACHE
-
-        b = NetlistBuilder("ephemeral")
-        b.add_cell("a", 4.0, 4.0)
-        b.add_cell("b", 4.0, 4.0)
-        b.add_net("n", [("a", "output"), ("b", "input")])
-        nl = b.build()
-        pin_arrays(nl)
-        assert nl in _PIN_ARRAY_CACHE
-        before = len(_PIN_ARRAY_CACHE)
-        del nl
-        gc.collect()
-        assert len(_PIN_ARRAY_CACHE) < before
+        # The pin CSR is a set of plain netlist attributes.
+        nl = four_cell_netlist
+        assert nl.net_ptr.tolist() == [0, 2, 4, 6]
+        assert nl.net_degree.tolist() == [2, 2, 2]
+        assert nl.pin_cell.tolist() == [0, 2, 2, 3, 3, 1]
 
     def test_distinct_netlists_get_distinct_arrays(self):
         from repro import NetlistBuilder
@@ -133,6 +111,8 @@ class TestBoundingBoxesAndCache:
             return b.build()
 
         nl1, nl2 = build(), build()
-        # Identical structure, different objects: no cross-talk.
-        assert pin_arrays(nl1) is not pin_arrays(nl2)
-        assert pin_arrays(nl1) is pin_arrays(nl1)
+        # Identical structure, different objects: no shared arrays, and no
+        # array a caller could write through.
+        assert nl1.pin_cell is not nl2.pin_cell
+        with pytest.raises(ValueError, match="read-only"):
+            nl1.pin_cell[0] = 1

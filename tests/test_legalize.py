@@ -109,7 +109,8 @@ class TestAbacus:
         b.add_cell("big", 10.0, 10.0)
         b.add_cell("small", 10.0, 10.0)
         nl = b.build()
-        nl.areas[0] *= 100.0  # make 'big' artificially heavy
+        # Make 'big' artificially heavy (a netlist's arrays are read-only).
+        nl.areas = nl.areas * np.array([100.0, 1.0])
         p = Placement(nl, np.array([100.0, 100.0]), np.array([45.0, 45.0]))
         result = AbacusLegalizer(region).legalize(p)
         moved = result.placement.displacement_from(p)

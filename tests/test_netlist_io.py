@@ -78,3 +78,59 @@ class TestPlacementRoundTrip:
         path.write_text("nope\n")
         with pytest.raises(ValueError):
             load_placement(four_cell_netlist, path)
+
+
+class TestPlacementRecords:
+    """Every bad placement record names its file and line."""
+
+    def _write(self, netlist, region, tmp_path, edit):
+        path = tmp_path / "p.placement"
+        save_placement(Placement.at_center(netlist, region), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    @pytest.mark.parametrize("record,message", [
+        ("a nan 0.0", "cell 'a' has non-finite position"),
+        ("a 1.0 inf", "cell 'a' has non-finite position"),
+        ("a 1.0", "malformed placement record 'a 1.0'"),
+        ("a 1.0 2.0 3.0", "malformed placement record"),
+        ("a x 2.0", "malformed placement record"),
+        ("ghost 1.0 2.0", "placement names unknown cell 'ghost'"),
+    ])
+    def test_bad_record_names_the_line(
+        self, four_cell_netlist, four_cell_region, tmp_path, record, message
+    ):
+        def edit(lines):
+            k = next(i for i, line in enumerate(lines) if line.startswith("a "))
+            return lines[:k] + [record] + lines[k + 1:]
+
+        path = self._write(four_cell_netlist, four_cell_region, tmp_path, edit)
+        lineno = path.read_text().splitlines().index(record) + 1
+        with pytest.raises(ValueError, match=rf"^p\.placement:{lineno}: {message}"):
+            load_placement(four_cell_netlist, path)
+
+    def test_duplicate_record_names_both_lines(
+        self, four_cell_netlist, four_cell_region, tmp_path
+    ):
+        path = self._write(
+            four_cell_netlist, four_cell_region, tmp_path, lambda ls: ls + [ls[-1]]
+        )
+        n = len(path.read_text().splitlines())
+        with pytest.raises(
+            ValueError,
+            match=rf"^p\.placement:{n}: duplicate record for cell 'b' "
+                  rf"\(first at line {n - 1}\)",
+        ):
+            load_placement(four_cell_netlist, path)
+
+    def test_missing_cell_names_the_file(
+        self, four_cell_netlist, four_cell_region, tmp_path
+    ):
+        path = self._write(
+            four_cell_netlist, four_cell_region, tmp_path, lambda ls: ls[:-1]
+        )
+        with pytest.raises(
+            ValueError, match=r"^p\.placement: placement file misses cell 'b'"
+        ):
+            load_placement(four_cell_netlist, path)

@@ -10,12 +10,14 @@ must end in one of two ways:
   (``d.nodes:12: ...``).  The one file-level error, an ``.scl`` file with
   no ``CoreRow``, names the file alone.
 
-Any other exception type fails the property.
+Any other exception type fails the property.  Placement files get the
+same property, and a Bookshelf row of zero width is a fixed example.
 """
 
 import re
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +25,14 @@ from hypothesis import strategies as st
 from repro.netlist import (
     GeneratorSpec,
     Netlist,
+    Placement,
     generate_circuit,
     load_bookshelf,
     load_netlist,
+    load_placement,
     netlist_to_string,
     save_bookshelf,
+    save_placement,
 )
 
 DESIGN = generate_circuit(GeneratorSpec(name="fuzz", num_cells=16, num_rows=2))
@@ -114,3 +119,38 @@ def test_bookshelf_reader(bookshelf, data):
         )
     finally:
         path.write_text("\n".join(files[suffix]) + "\n")
+
+
+@FUZZ
+@given(data=st.data())
+def test_placement_reader(workdir, data):
+    path = workdir / "d.placement"
+    save_placement(Placement.at_center(DESIGN.netlist, DESIGN.region), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(data.draw(mutated(lines))) + "\n")
+    try:
+        placement = load_placement(DESIGN.netlist, path)
+    except ValueError as exc:
+        # A record names its line; a cell without one names the file.
+        assert re.match(
+            r"d\.placement:\d+: |d\.placement: placement file misses cell ",
+            str(exc),
+        ), str(exc)
+    else:
+        assert np.isfinite(placement.x).all() and np.isfinite(placement.y).all()
+
+
+def test_zero_width_row_names_its_line(bookshelf):
+    aux, files = bookshelf
+    path = aux.with_suffix(".scl")
+    lines = [
+        re.sub(r"NumSites : \d+", "NumSites : 0", line) for line in files[".scl"]
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        with pytest.raises(ValueError) as err:
+            load_bookshelf(aux)
+    finally:
+        path.write_text("\n".join(files[".scl"]) + "\n")
+    row = lines.index("CoreRow Horizontal") + 1
+    assert str(err.value).startswith(f"d.scl:{row}: CoreRow needs a positive")

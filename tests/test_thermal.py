@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.eco import NetlistDelta
+
 from repro import (
     HeatDrivenPlacer,
     KraftwerkPlacer,
@@ -79,19 +81,17 @@ class TestHeatDriven:
 
     def test_reduces_hotspot_of_clustered_module(self, small_circuit):
         nl, region = small_circuit.netlist, small_circuit.region
-        # A contiguous (hence tightly connected) block of cells runs hot.
-        movable = list(nl.movable_indices)
-        for i in movable[20:60]:
-            nl.cells[i].power *= 40.0
-        try:
-            base = KraftwerkPlacer(nl, region).place()
-            driven = HeatDrivenPlacer(nl, region, heat_weight=2.0)
-            result = driven.place()
-            base_peak = driven.model.solve(base.placement).peak_temperature
-            assert result.peak_temperature < base_peak * 1.02
-        finally:
-            for i in movable[20:60]:
-                nl.cells[i].power /= 40.0
+        # A contiguous (hence tightly connected) block of cells runs hot,
+        # derived as an ECO change: netlists are immutable.
+        nl = NetlistDelta(modify_cells={
+            nl.cell_names[i]: {"power": float(nl.powers[i]) * 40.0}
+            for i in nl.movable_indices[20:60]
+        }).apply(nl)
+        base = KraftwerkPlacer(nl, region).place()
+        driven = HeatDrivenPlacer(nl, region, heat_weight=2.0)
+        result = driven.place()
+        base_peak = driven.model.solve(base.placement).peak_temperature
+        assert result.peak_temperature < base_peak * 1.02
 
     def test_shares_density_grid(self, small_circuit):
         nl = small_circuit.netlist

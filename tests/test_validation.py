@@ -147,7 +147,15 @@ class TestValidateNetlist:
         b.add_net("good", ["a", "hint"])
         b.add_net("self", [("a", "output"), ("a", "input", 1.0, 0.0)])
         nl = b.build()
-        nl.cells[0].width = 0.0
+        # A zero width cannot be smuggled in: a netlist's cells are
+        # read-only views, and construction rejects the size, so there is
+        # no degenerate-size state left to repair.
+        with pytest.raises(AttributeError, match="read-only"):
+            nl.cells[0].width = 0.0
+        zero = Cell("a", 4.0, 4.0)
+        zero.width = 0.0
+        with pytest.raises(ValueError, match="zero or negative size"):
+            Netlist("t", [zero], [])
         return nl
 
     def test_clean_netlist_untouched(self, four_cell_netlist):
@@ -158,16 +166,14 @@ class TestValidateNetlist:
 
     def test_permissive_repairs_everything(self):
         out, report = validate_netlist(self._broken(), region=_region())
-        assert report.num_repairs == 4
+        assert report.num_repairs == 3
         codes = {issue.code for issue in report.issues}
         assert codes == {
-            "degenerate-size",
             "nonfinite-hint",
             "fixed-outside-region",
             "degenerate-net",
         }
         # Repairs actually landed in the rebuilt netlist.
-        assert out.cell_by_name("a").width > 0
         assert out.cell_by_name("hint").x is None
         pad = out.cell_by_name("pad")
         assert (pad.x, pad.y) == (100.0, 0.0)
@@ -180,8 +186,8 @@ class TestValidateNetlist:
         with pytest.raises(ValueError) as err:
             validate_netlist(self._broken(), region=_region(), strict=True)
         message = str(err.value)
-        for code in ("degenerate-size", "nonfinite-hint",
-                     "fixed-outside-region", "degenerate-net"):
+        for code in ("nonfinite-hint", "fixed-outside-region",
+                     "degenerate-net"):
             assert code in message
 
     def test_boundary_pads_are_legal(self):
