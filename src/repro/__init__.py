@@ -9,12 +9,13 @@ Quickstart::
     result = repro.place("primary1", scale=0.2)   # place + legalize
     print(result.final_hpwl_m)
 
-    batch = repro.place_many("tiny", seeds=range(8), workers=4)
+    with repro.Client.local() as client:          # many designs/seeds
+        batch = client.map("tiny", seeds=range(8), workers=4)
     print(batch.best_hpwl_m, batch.median_hpwl_m)
 
 Sub-packages:
 
-- :mod:`repro.api` — the stable one-call facade (``place``/``place_many``).
+- :mod:`repro.api` — the stable facade (``place`` and ``Client``).
 - :mod:`repro.parallel` — the parallel batch-placement engine.
 - :mod:`repro.core` — the force-directed global placer (the contribution).
 - :mod:`repro.backend` — pluggable array backends (numpy / torch) for
@@ -117,7 +118,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "FlowResult",
         "JobHandle",
         "place",
-        "place_many",
         "region_for_netlist",
         "resolve_source",
     ),

@@ -2,20 +2,17 @@
 
 Everything the repo can place — a :class:`~repro.netlist.Netlist`, a
 generated circuit, a suite-circuit name, a bench size, a Bookshelf ``.aux``
-file or a repro ``.netlist`` file — goes through three surfaces:
+file or a repro ``.netlist`` file — goes through two surfaces:
 
 - :func:`place` runs global placement (plus legalization by default) on one
   design and returns a frozen, picklable :class:`FlowResult`;
-- :func:`place_many` fans a list of designs/seeds out over the parallel
-  batch engine (:mod:`repro.parallel`) and returns a
-  :class:`~repro.parallel.BatchResult`;
 - :class:`Client` is the *single* client surface over the placement
   service: ``submit() -> JobHandle``, ``handle.stream()`` for per-iteration
-  progress, ``handle.result()``, ``cancel()`` — with two interchangeable
-  transports, in-process (wrapping
-  :class:`~repro.service.PlacementService`) and socket (the ``repro-wire/1``
-  protocol of :mod:`repro.service.net`).  ``place_many`` and
-  :func:`repro.service.serve_jobs` are thin convenience wrappers over it.
+  progress, ``handle.result()``, ``cancel()``, and ``map()`` for many
+  designs/seeds at once — with two interchangeable transports, in-process
+  (wrapping :class:`~repro.service.PlacementService`) and socket (the
+  ``repro-wire/1`` protocol of :mod:`repro.service.net`).
+  :func:`repro.service.serve_jobs` is a thin convenience wrapper over it.
 
 Quickstart::
 
@@ -24,10 +21,10 @@ Quickstart::
     result = repro.place("primary1", scale=0.3)
     print(result.final_hpwl_m, "m of wire")
 
-    batch = repro.place_many("tiny", seeds=range(8), workers=4)
-    print(batch.best_hpwl_m, batch.speedup_estimate)
-
     with repro.Client.local() as client:          # or Client.connect(...)
+        batch = client.map("tiny", seeds=range(8), workers=4)
+        print(batch.best_hpwl_m, batch.speedup_estimate)
+
         handle = client.submit("tiny", seed=3, subscribe=True)
         for event in handle.stream():
             print(event.get("iteration"), event.get("hpwl_m"))
@@ -383,50 +380,6 @@ def place(
     )
 
 
-def place_many(
-    sources: Union[PlaceSource, Sequence[Any]],
-    *,
-    seeds: Optional[Iterable[int]] = None,
-    config: Optional[Union[PlacerConfig, Dict[str, Any]]] = None,
-    legalize: bool = True,
-    workers: Optional[int] = None,
-    mp_context: str = "auto",
-    scale: float = 0.2,
-    utilization: float = 0.8,
-    max_iterations: Optional[int] = None,
-    trace_dir=None,
-    progress=None,
-    keep_placements: bool = True,
-):
-    """Place many designs/seeds concurrently; returns a ``BatchResult``.
-
-    *sources* is one :data:`PlaceSource` (fanned out over *seeds* — the
-    multi-start case), a sequence of sources (one job each, seed 0 or the
-    matching entry of *seeds*), or a sequence of prebuilt
-    :class:`~repro.parallel.PlacementJob` specs (used verbatim).
-    *workers* follows :func:`repro.parallel.run_batch` semantics: ``None``
-    uses the CPU count, ``0`` runs serially in-process (the determinism
-    baseline), ``N >= 1`` starts the supervised worker pool
-    (:mod:`repro.parallel.pool`) for the call.
-
-    Thin wrapper over :meth:`Client.map`.
-    """
-    return Client.local().map(
-        sources,
-        seeds=seeds,
-        config=config,
-        legalize=legalize,
-        workers=workers,
-        mp_context=mp_context,
-        scale=scale,
-        utilization=utilization,
-        max_iterations=max_iterations,
-        trace_dir=trace_dir,
-        progress=progress,
-        keep_placements=keep_placements,
-    )
-
-
 def _config_dict(config):
     """A job spec's config: a :class:`~repro.core.config.PlacerConfig` as
     its ``to_dict()`` form, a mapping or ``None`` as given.  Duck-typed, so
@@ -434,58 +387,6 @@ def _config_dict(config):
     if config is None or isinstance(config, Mapping):
         return config
     return config.to_dict()
-
-
-def _jobs_for(
-    sources,
-    *,
-    seeds,
-    config,
-    legalize,
-    scale,
-    utilization,
-    max_iterations,
-):
-    """The sources/seeds fan-out of :func:`place_many`: one source x N
-    seeds, N sources, or prebuilt :class:`~repro.parallel.PlacementJob`
-    specs used verbatim."""
-    from .parallel import PlacementJob
-
-    common = dict(
-        config=_config_dict(config),
-        legalize=legalize,
-        scale=scale,
-        utilization=utilization,
-        max_iterations=max_iterations,
-    )
-    # A bare (netlist, region) tuple is one source; any other list/tuple is
-    # a sequence of sources (or prebuilt jobs).
-    is_sequence = isinstance(sources, (list, tuple)) and not (
-        isinstance(sources, tuple)
-        and len(sources) == 2
-        and isinstance(sources[0], Netlist)
-    )
-    if is_sequence and sources and all(
-        isinstance(s, PlacementJob) for s in sources
-    ):
-        return list(sources)
-    if is_sequence:
-        seed_list = list(seeds) if seeds is not None else None
-        if seed_list is not None and len(seed_list) != len(sources):
-            raise ValueError(
-                f"{len(seed_list)} seeds for {len(sources)} sources; pass "
-                "one seed per source (or a single source to fan out seeds)"
-            )
-        return [
-            PlacementJob(
-                source=src,
-                seed=seed_list[i] if seed_list is not None else 0,
-                **common,
-            )
-            for i, src in enumerate(sources)
-        ]
-    seed_list = list(seeds) if seeds is not None else [0]
-    return [PlacementJob(source=sources, seed=s, **common) for s in seed_list]
 
 
 class JobHandle:
@@ -566,9 +467,10 @@ class Client:
 
     Either way: ``submit() -> JobHandle``, ``handle.stream()`` for
     per-iteration progress, ``handle.result()`` for the terminal record,
-    ``cancel()``.  :meth:`map` runs a batch through the parallel engine
-    (no service) with :func:`place_many` semantics.  Use as a context
-    manager; :meth:`close` shuts down whatever the client owns.
+    ``cancel()``, and :meth:`map` for a batch of jobs in job order.  A
+    local map runs on a service started for the call; a connected map
+    runs on the server and returns no flows.  Use as a context manager;
+    :meth:`close` shuts down whatever the client owns.
     """
 
     def __init__(self, *, _service=None, _service_config=None, _events=None,
@@ -757,25 +659,58 @@ class Client:
         progress=None,
         keep_placements: bool = True,
     ):
-        """Run a batch on a worker pool started for this call —
-        :func:`place_many` semantics; returns its ``BatchResult``.
+        """Place one source over *seeds*, a sequence of sources, or
+        prebuilt :class:`~repro.parallel.PlacementJob` specs, one attempt
+        each; returns a :class:`~repro.parallel.BatchResult` in job order.
 
-        It is the pool the service supervises, but a batch has no queue
-        and never retries: a job whose worker dies fails alone as
-        ``WorkerDeath``.  The pool's workers are children of this
-        process for either transport; a connected server takes no part.
+        A local client calls :func:`repro.parallel.run_batch` (``workers=0``
+        is serial; a pool runs on a service started for this call, not the
+        client's own).  A connected client runs the jobs on its server,
+        whose settings replace *workers*, *mp_context*, *trace_dir* and
+        *keep_placements*; no result carries a flow, as the wire carries
+        only the scalars and the positions hash.
         """
-        from .parallel import run_batch
+        from .parallel import PlacementJob, run_batch
 
-        jobs = _jobs_for(
-            sources,
-            seeds=seeds,
-            config=config,
+        common = dict(
+            config=_config_dict(config),
             legalize=legalize,
             scale=scale,
             utilization=utilization,
             max_iterations=max_iterations,
         )
+        # A bare (netlist, region) tuple is one source; any other list/tuple
+        # is a sequence of sources (or prebuilt jobs).
+        is_sequence = isinstance(sources, (list, tuple)) and not (
+            isinstance(sources, tuple)
+            and len(sources) == 2
+            and isinstance(sources[0], Netlist)
+        )
+        if is_sequence and sources and all(
+            isinstance(s, PlacementJob) for s in sources
+        ):
+            jobs = list(sources)
+        elif is_sequence:
+            seed_list = list(seeds) if seeds is not None else None
+            if seed_list is not None and len(seed_list) != len(sources):
+                raise ValueError(
+                    f"{len(seed_list)} seeds for {len(sources)} sources; pass "
+                    "one seed per source (or a single source to fan out seeds)"
+                )
+            jobs = [
+                PlacementJob(
+                    source=src,
+                    seed=seed_list[i] if seed_list is not None else 0,
+                    **common,
+                )
+                for i, src in enumerate(sources)
+            ]
+        else:
+            seed_list = list(seeds) if seeds is not None else [0]
+            jobs = [PlacementJob(source=sources, seed=s, **common)
+                    for s in seed_list]
+        if self._wire is not None:
+            return self._wire.map(jobs, progress=progress)
         return run_batch(
             jobs,
             workers=workers,
@@ -792,7 +727,6 @@ __all__ = [
     "JobHandle",
     "PlaceSource",
     "place",
-    "place_many",
     "region_for_netlist",
     "resolve_source",
 ]

@@ -91,6 +91,7 @@ class NetlistDelta:
                     cell.name, width, cell.height, kind=cell.kind,
                     delay=delay, input_cap=input_cap,
                     power=power, is_register=cell.is_register,
+                    x=cell.x, y=cell.y,
                 )
         for cell in self.add_cells:
             if cell.fixed:

@@ -200,7 +200,20 @@ def _line(text: str, k: int) -> str:
 
 
 _KIND_CODES = {kind.value: code for code, kind in enumerate(CELL_KINDS)}
+#: The only tokens the writer emits for mobility and the register flag; a
+#: reader that took others would give one design two canonical texts.
+_FIXED = {"movable": False, "fixed": True}
 _REGISTER = {"0": False, "1": True}
+
+
+def _only(what: str, table: dict) -> Callable[[str], object]:
+    """A parse that rejects every token outside *table*."""
+    choices = " or ".join(repr(token) for token in table)
+
+    def parse(token: str) -> object:
+        raise ValueError(f"{what} must be {choices}, got {token!r}")
+
+    return parse
 
 
 def _coded(
@@ -232,14 +245,14 @@ def _cell_columns(
 
     names = field(1)
     kinds = _coded(first, _KIND_CODES, lambda t: CELL_KINDS.index(CellKind(t)), field(4))
+    fixed = np.array(_coded(first, _FIXED, _only("mobility", _FIXED), field(5)), dtype=bool)
     delays = first.convert(float, field(8))
     caps = first.convert(float, field(9))
     powers = first.convert(float, field(10))
-    registers = _coded(first, _REGISTER, lambda t: bool(int(t)), field(11))
+    registers = _coded(first, _REGISTER, _only("is_register", _REGISTER), field(11))
     widths = first.convert(float, field(2))
     heights = first.convert(float, field(3))
     at = off[: first.limit]
-    fixed = tokens[at + 5] == "fixed"
     # "-" states no hint (read as 0.0); a fixed cell needs a number.
     x, y = field(6), field(7)
     has_x, has_y = tokens[at + 6] != "-", tokens[at + 7] != "-"

@@ -3,8 +3,9 @@
 Runs many placement jobs — multi-start seeds, K-sweeps, benchmark suites —
 concurrently over a process pool with failure isolation, per-job
 deadline/checkpoint support and merged observability.  See
-:mod:`repro.parallel.engine` for the execution semantics and
-:mod:`repro.parallel.jobs` for the (picklable, frozen) job/result specs.
+:mod:`repro.parallel.engine` for the execution semantics,
+:mod:`repro.parallel.jobs` for the (picklable, frozen) job/result specs
+and :mod:`repro.parallel.pool` for the supervised worker processes.
 
 Usage::
 
@@ -14,7 +15,7 @@ Usage::
     batch = run_batch(jobs, workers=4)
     print(batch.best_hpwl_m, batch.median_hpwl_m, batch.speedup_estimate)
 
-or, one level up, :func:`repro.api.place_many`.
+or, one level up, :meth:`repro.api.Client.map`.
 """
 
 from .jobs import BATCH_SCHEMA, BatchResult, JobResult, PlacementJob

@@ -1,11 +1,13 @@
-"""The batch-execution engine: many placement jobs on the supervised pool.
+"""The batch-execution engine: many placement jobs, one answer each.
 
 The placer's flow level is embarrassingly parallel — multi-start seeds,
 K-sweeps, benchmark suites — and each job is a deterministic pure function
 of its spec, so fanning jobs over worker processes preserves bit-identical
-per-job results at any worker count.  :func:`run_batch` starts a
-:class:`~repro.parallel.pool.WorkerPool` for each call, the same pool the
-placement service supervises, and adds the batch-level concerns:
+per-job results at any worker count.  :func:`run_batch` runs a pooled
+batch on a :class:`~repro.service.PlacementService` started for the call:
+the service supervisor is the one loop that dispatches onto a
+:class:`~repro.parallel.pool.WorkerPool`.  The call adds the batch-level
+concerns:
 
 - **worker-count / start-method control** — ``workers=None`` uses the CPU
   count, ``workers=0`` runs serially in-process (the determinism and
@@ -15,15 +17,15 @@ placement service supervises, and adds the batch-level concerns:
   rejects its input (``ValueError``) or raises anything else is returned
   as a failed :class:`~repro.parallel.jobs.JobResult`; a job whose worker
   dies fails alone as ``WorkerDeath``, and the slot respawns for the jobs
-  left.  Its siblings finish unharmed.  A batch never retries a job (the
-  service does, under its retry policy);
+  left.  Its siblings finish unharmed.  A batch never retries a job, and
+  its service has no result cache and sheds nothing;
 - **deadline / checkpoint integration** — per-job deadlines ride in each
   job's config; ``checkpoint_dir`` gives every job a resumable
   :mod:`repro.core.checkpoint` snapshot path, and ``resume=True`` picks
   existing snapshots up, so an interrupted batch re-run skips finished
   work bit-identically;
 - **streamed progress** — a ``progress(result, done, total)`` callback
-  fires in the parent as each job completes;
+  fires in the calling thread as each job completes;
 - **merged observability** — every worker runs under a real telemetry
   recorder; per-job JSONL traces land in ``trace_dir`` and per-phase
   totals are merged into the batch summary.
@@ -33,21 +35,13 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..backend import resolve_backend
 from .jobs import BatchResult, JobResult, PlacementJob
-from .pool import MSG_DONE, MSG_READY, UNSENDABLE, WorkerPool
-
-#: Longest wait between the batch loop's housekeeping passes (heartbeat
-#: checks, respawns); a worker message or death ends the wait at once.
-_TICK_S = 0.05
-#: When workers keep dying before they report ready (a worker that cannot
-#: start at all), the jobs still waiting fail after this many such deaths
-#: per slot instead of respawning forever.
-_START_ATTEMPTS = 3
 
 ProgressCallback = Callable[[JobResult, int, int], None]
 
@@ -262,11 +256,7 @@ def run_batch(
             job.with_checkpoint(ckpt_dir, job.display_name(i), checkpoint_every)
             for i, job in enumerate(jobs)
         ]
-    payloads = [
-        _job_payload(job, i, trace_path, keep_placements, resume)
-        for i, job in enumerate(jobs)
-    ]
-    total = len(payloads)
+    total = len(jobs)
     results: List[Optional[JobResult]] = [None] * total
     done = 0
 
@@ -283,15 +273,15 @@ def run_batch(
     t0 = time.perf_counter()
     if n_workers == 0 or total <= 1:
         context_name = "serial"
-        for i, payload in enumerate(payloads):
-            finish(i, _execute_job(payload))
+        for i, job in enumerate(jobs):
+            finish(i, _execute_job(
+                _job_payload(job, i, trace_path, keep_placements, resume)
+            ))
     else:
-        pool = WorkerPool(min(n_workers, total), mp_context=mp_context)
-        context_name = pool.mp_context
-        try:
-            _run_on_pool(pool, payloads, finish)
-        finally:
-            pool.stop()
+        context_name = _run_on_service(
+            jobs, min(n_workers, total), mp_context, trace_path,
+            keep_placements, resume, finish,
+        )
 
     return BatchResult(
         jobs=tuple(results),  # type: ignore[arg-type]
@@ -301,60 +291,41 @@ def run_batch(
     )
 
 
-def _run_on_pool(
-    pool: WorkerPool,
-    payloads: List[Dict[str, Any]],
+def _run_on_service(
+    jobs: List[PlacementJob],
+    workers: int,
+    mp_context: str,
+    trace_dir: Optional[Path],
+    keep_placements: bool,
+    resume: bool,
     finish: Callable[[int, JobResult], None],
-) -> None:
-    """Run every payload on *pool*, each job once, passing results to
-    *finish* in completion order.
+) -> str:
+    """Run each job once on a service started for this call, passing
+    results to *finish* from this thread as they end; returns the start
+    method.  The shutdown reaps every worker before the batch returns."""
+    import queue
 
-    Idle workers take jobs in job order.  A worker death fails only the
-    job that worker held; its slot respawns while jobs are still waiting.
-    """
-    waiting = deque(range(len(payloads)))
-    running: Dict[str, int] = {}  # pool token -> job index
-    start_deaths = 0  # deaths since a worker last reported ready
-    pool.start()
-    while waiting or running:
-        idle = pool.idle_handles()
-        while idle and waiting:
-            index = waiting.popleft()
-            handle = idle.pop()
-            try:
-                pool.dispatch(handle, str(index), payloads[index])
-            except UNSENDABLE as exc:
-                idle.append(handle)
-                finish(index, _failed(payloads[index], type(exc).__name__,
-                                      str(exc)))
-                continue
-            running[str(index)] = index
-        messages, deaths = pool.poll(_TICK_S)
-        for _, message in messages:
-            if message[0] == MSG_READY:
-                start_deaths = 0
-            elif message[0] == MSG_DONE:
-                finish(running.pop(message[1]), message[2])
-        for death in deaths + pool.check_health(time.monotonic()):
-            if death.token is not None:
-                index = running.pop(death.token)
-                finish(index, _failed(payloads[index], "WorkerDeath",
-                                      death.detail))
-                continue
-            start_deaths += 1
-            if (
-                start_deaths >= _START_ATTEMPTS * len(pool.handles)
-                and not running
-                and not pool.idle_handles()
-            ):
-                while waiting:
-                    index = waiting.popleft()
-                    finish(index, _failed(
-                        payloads[index], "WorkerDeath",
-                        f"no worker could start: {death.detail}",
-                    ))
-        if waiting:
-            pool.maybe_respawn(time.monotonic())
+    from ..service import PlacementService, RetryPolicy, ServiceConfig
+
+    config = ServiceConfig(
+        workers=workers, mp_context=mp_context, trace_dir=trace_dir,
+        retry=RetryPolicy(max_attempts=1), max_queue_depth=len(jobs),
+        cache_bytes=0,  # the batch keeps every flow it returns itself
+    )
+    # Pinned names keep trace and checkpoint files named as in serial.
+    jobs = [replace(job, name=job.display_name(i)) for i, job in enumerate(jobs)]
+    ended: "queue.SimpleQueue" = queue.SimpleQueue()
+    flows: Dict[int, Any] = {}
+    with PlacementService(config) as service:
+        for i, job in enumerate(jobs):
+            sink = partial(flows.__setitem__, i) if keep_placements else None
+            service.submit(job, job_id=str(i), resume=resume, on_flow=sink)
+            service.on_terminal(str(i), ended.put)
+        for _ in jobs:
+            record = ended.get()
+            i = int(record.job_id)
+            finish(i, record.batch_result(jobs[i], i, flows.pop(i, None)))
+    return service.pool.mp_context
 
 
 __all__ = [

@@ -1,9 +1,11 @@
 """The supervised, persistent worker-process pool.
 
-Both execution layers run their jobs here.  :func:`repro.parallel.run_batch`
-starts a pool for each call and fails the job of a worker that dies;
-:class:`repro.service.PlacementService` keeps one pool for its lifetime
-and retries under its policy.  What the pool guarantees:
+Every pooled job runs here, dispatched by one loop: the
+:class:`repro.service.PlacementService` supervisor.  A long-lived service
+keeps one pool for its lifetime and retries under its policy;
+:func:`repro.parallel.run_batch` starts a service, and so a pool, for
+each call, and fails the job of a worker that dies.  What the pool
+guarantees:
 
 - **a death costs one job** — a worker that exits, is killed or freezes
   is reaped on its own and reported as one :class:`WorkerDeath` that
@@ -28,9 +30,8 @@ Plumbing choices are all in service of kill-safety:
   ``deadline_seconds`` and the service's job watchdog, which know them).
 
 The pool knows processes, pipes and time.  It does not know what a job
-means: the batch loop in :mod:`repro.parallel.engine` and the service
-supervisor in :mod:`repro.service.supervisor` (retry policy, priorities,
-admission) decide that.
+means: the service supervisor in :mod:`repro.service.supervisor` (retry
+policy, priorities, admission, the start-failure rule) decides that.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import multiprocessing as mp
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -177,10 +178,8 @@ class WorkerHandle:
     dispatched_at: float = 0.0
     started_at: Optional[float] = None
     spawned_at: float = 0.0
-    jobs_done: int = 0
     consecutive_failures: int = 0
     restart_not_before: float = 0.0
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class WorkerPool:
@@ -378,7 +377,6 @@ class WorkerPool:
             if message[1] == handle.token:
                 handle.token = None
                 handle.state = IDLE
-                handle.jobs_done += 1
                 handle.consecutive_failures = 0  # survived a full job
 
     # -- failure handling ------------------------------------------------

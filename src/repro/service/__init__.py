@@ -1,9 +1,11 @@
 """Fault-tolerant placement service: supervisor, admission, wire.
 
-The batch engine (:mod:`repro.parallel`) runs a fixed list of jobs and
-exits; this package keeps placing *indefinitely* under real-world failure
-— worker processes that die, hang, start slowly, or tear a checkpoint
-mid-write — without losing answers or changing them.  The guarantees:
+This package keeps placing *indefinitely* under real-world failure —
+worker processes that die, hang, start slowly, or tear a checkpoint
+mid-write — without losing answers or changing them.  Its supervisor is
+the one scheduler of pooled jobs: a pooled batch
+(:func:`repro.parallel.run_batch`) runs on a service started for the
+call.  The guarantees:
 
 - every admitted job either completes with an HPWL **bit-identical** to a
   serial run of the same spec (retries and cross-worker checkpoint
@@ -16,10 +18,11 @@ mid-write — without losing answers or changing them.  The guarantees:
 Layering (each module only knows the one below):
 
 - :mod:`repro.parallel.pool` — supervised worker processes: pipes,
-  heartbeats, sentinels, capped-backoff respawns.  The batch engine runs
-  on the same pool, and imports point one way: service → parallel;
-- :mod:`~repro.service.supervisor` — priority queue, per-job watchdogs,
-  retry policy, checkpoint migration, result cache, drain;
+  heartbeats, sentinels, capped-backoff respawns;
+- :mod:`~repro.service.supervisor` — the one loop that dispatches onto
+  the pool: priority queue, per-job watchdogs, retry policy, checkpoint
+  migration, result cache, drain, and failing queued jobs when no worker
+  can start;
 - :mod:`~repro.service.admission` — bounded queue, tenant quotas,
   lifecycle (accepting/draining/closed);
 - :mod:`~repro.service.jobs` — job specs, retry policy, records;

@@ -1,8 +1,8 @@
 """Service-level job specs, retry policy and per-job records.
 
 A service job is a :class:`~repro.parallel.jobs.PlacementJob` (the pure,
-picklable spec the batch engine already runs) wrapped with the serving
-concerns the batch engine does not have: identity (``job_id``), queue
+picklable spec a batch lists) wrapped with the serving concerns a bare
+spec does not carry: identity (``job_id``), queue
 ``priority``, a ``tenant`` for quota accounting, a hard per-job wall-clock
 ``timeout_seconds`` watchdog, and a :class:`RetryPolicy`.
 
@@ -16,11 +16,14 @@ about processes and time; placement results stay bit-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..parallel.jobs import JobResult, PlacementJob
+
+if TYPE_CHECKING:
+    from ..api import FlowResult
 
 #: Service report schema.  ``/2`` adds the result-cache block, per-job
 #: ``cached`` flags and p999 latency (PR 10); the report shape is
@@ -352,6 +355,26 @@ class JobRecord:
             "error": result["error"] if result is not None else self.reason,
             "error_type": result["error_type"] if result is not None else None,
         }
+
+    def batch_result(
+        self,
+        job: PlacementJob,
+        index: int,
+        flow: Optional[FlowResult] = None,
+    ) -> JobResult:
+        """This record as job *index* of a batch that submitted *job*: the
+        worker's result (with *flow*), or a failure that says why none came
+        back (``WorkerDeath`` for a worker death)."""
+        if self.result is not None:
+            return replace(self.result, index=index, flow=flow)
+        error_type = (
+            "WorkerDeath" if self.failure_class == "worker_death"
+            else self.failure_class or self.state.value
+        )
+        return JobResult(
+            name=job.display_name(index), index=index, seed=job.seed,
+            ok=False, error=self.reason, error_type=error_type,
+        )
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":

@@ -55,7 +55,10 @@ import queue
 import socket
 import struct
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+import time
+from collections import deque
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 WIRE_SCHEMA = "repro-wire/1"
 #: Upper bound on one frame's byte length — garbage-prefix protection.
@@ -629,6 +632,44 @@ class WireClient:
                 raise WireError("connection closed before the result")
             return None
         return JobRecord.from_dict(entry.record_data)
+
+    def map(self, jobs: Sequence, progress: Optional[Callable] = None):
+        """Run *jobs* on the server, one attempt each, and return their
+        :class:`~repro.parallel.BatchResult` (in job order, without flows).
+
+        A submit shed for ``queue_full`` is sent again once this map's
+        oldest running job has ended; any other shed fails its job as
+        ``shed``.  *progress* is called from this thread, in job order.
+        """
+        from ..parallel.jobs import BatchResult
+        from .jobs import RetryPolicy, ServiceJob
+
+        t0 = time.perf_counter()
+        jobs = [replace(job, name=job.display_name(i))
+                for i, job in enumerate(jobs)]
+        results: List[Any] = []
+        running: deque = deque()  # (index, server job id), oldest first
+
+        def collect() -> None:
+            index, job_id = running.popleft()
+            record = self.wait_result(job_id)
+            results.append(record.batch_result(jobs[index], index))
+            if progress is not None:
+                progress(results[-1], len(results), len(jobs))
+
+        for index, job in enumerate(jobs):
+            spec = ServiceJob(job, "", retry=RetryPolicy(max_attempts=1))
+            handle = self.submit_job(None, spec)
+            while handle.shed_reason == "queue_full" and running:
+                collect()
+                handle = self.submit_job(None, spec)
+            running.append((index, handle.job_id))
+        while running:
+            collect()
+        return BatchResult(
+            jobs=tuple(results), wall_seconds=time.perf_counter() - t0,
+            workers=0, mp_context="wire",
+        )
 
     def report(self) -> Dict[str, Any]:
         reply = self._rpc({"type": "report"})

@@ -1,11 +1,12 @@
 """The placement service supervisor: queue, retries, migration, drain.
 
-This is the layer that turns the batch engine's "run N jobs, hope"
-into a *service*: jobs are admitted (or shed with a reason), queued by
-priority, dispatched to the supervised :class:`~repro.parallel.pool
-.WorkerPool`, watched against per-job wall-clock deadlines, and — when a
-worker dies or hangs mid-job — retried under the job's
-:class:`~repro.service.jobs.RetryPolicy` with capped exponential backoff.
+This is the one loop that dispatches onto the supervised
+:class:`~repro.parallel.pool.WorkerPool` (a pooled
+:func:`repro.parallel.run_batch` runs on a service of its own).  Jobs are
+admitted (or shed with a reason), queued by priority, dispatched, watched
+against per-job wall-clock deadlines, and — when a worker dies or hangs
+mid-job — retried under the job's :class:`~repro.service.jobs.RetryPolicy`
+with capped exponential backoff.
 
 **Migration** is the checkpoint story end to end: every admitted job gets
 an atomic ``.npz`` snapshot path (unless its config already has one), the
@@ -36,12 +37,14 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple, Union,
+)
 
 from ..observability.events import EventLog, latency_summary
-from ..parallel.engine import _job_payload
+from ..parallel.engine import _failed, _job_payload
 from ..parallel.jobs import JobResult, PlacementJob
-from ..parallel.pool import UNSENDABLE, WorkerDeath, WorkerPool
+from ..parallel.pool import UNSENDABLE, WorkerDeath, WorkerHandle, WorkerPool
 from .admission import AdmissionController
 from .cache import ResultCache, job_signature
 from .jobs import (
@@ -56,8 +59,14 @@ from .jobs import (
 )
 from .progress import PROGRESS_EVENT, ProgressBroker, RESULT_EVENT
 
+if TYPE_CHECKING:
+    from ..api import FlowResult
+
 #: Terminal job states — a record in one of these never changes again.
 _TERMINAL = (JobState.DONE, JobState.FAILED, JobState.CANCELLED, JobState.SHED)
+#: Deaths in a row before ready, on every slot, that mean no worker can
+#: start: the queued jobs then fail instead of waiting forever.
+_START_ATTEMPTS = 3
 
 
 class _Wakeup:
@@ -193,6 +202,9 @@ class PlacementService:
         )
         self.broker = ProgressBroker()
         self._watchers: Dict[str, List[Any]] = {}  # job_id -> callbacks
+        self._flow_sinks: Dict[str, Callable[[FlowResult], None]] = {}
+        self._resume_first: Set[str] = set()
+        self._start_deaths = [0] * self.config.workers  # per slot
         self._cond = threading.Condition()
         self._records: Dict[str, JobRecord] = {}
         self._order: List[str] = []  # submission order, for reports
@@ -290,6 +302,8 @@ class PlacementService:
         timeout_seconds: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         progress: Optional[Any] = None,
+        resume: bool = False,
+        on_flow: Optional[Callable[[FlowResult], None]] = None,
     ) -> SubmitResult:
         """Admit one job (or shed it with a structured reason).
 
@@ -299,6 +313,11 @@ class PlacementService:
         dispatches at all: it goes terminal-DONE inside this call with the
         stored flow's scalars and positions hash (bit-identical to the run
         that seeded it) and ``SubmitResult.cached=True``.
+
+        For in-process batches: ``resume=True`` lets the first attempt
+        resume from an existing snapshot too, and *on_flow* (called under
+        the lock) receives the finished job's flow, which the record never
+        keeps.
         """
         # Signature first and outside the lock: hashing a big netlist must
         # not serialize other submitters behind the condition variable.
@@ -329,6 +348,8 @@ class PlacementService:
             if progress is not None:
                 self.broker.subscribe(spec.job_id, progress)
             if cached_flow is not None:
+                if on_flow is not None:
+                    on_flow(cached_flow)
                 record.cached = True
                 record.result = JobResult.from_flow(
                     cached_flow, name=spec.job.name or spec.job_id,
@@ -366,6 +387,10 @@ class PlacementService:
                 self._job_terminal(record)
                 return SubmitResult(False, spec.job_id, decision.reason)
             record.spec = self._prepared(spec)
+            if on_flow is not None:
+                self._flow_sinks[spec.job_id] = on_flow
+            if resume:
+                self._resume_first.add(spec.job_id)
             self._queued += 1
             self._tenant_load[spec.tenant] += 1
             self.queue_depth_max = max(self.queue_depth_max, self._queued)
@@ -461,6 +486,8 @@ class PlacementService:
         Called under ``self._cond`` at *every* terminal transition."""
         self.broker.publish(record.job_id, self._terminal_event(record))
         self.broker.close_job(record.job_id)
+        self._flow_sinks.pop(record.job_id, None)
+        self._resume_first.discard(record.job_id)
         for callback in self._watchers.pop(record.job_id, ()):
             try:
                 callback(record)
@@ -508,11 +535,6 @@ class PlacementService:
         with self._cond:
             return self._records.get(job_id)
 
-    def records(self) -> List[JobRecord]:
-        """All job records, submission order (snapshot under the lock)."""
-        with self._cond:
-            return [self._records[i] for i in self._order]
-
     # -- the supervisor loop ---------------------------------------------
     def _loop(self) -> None:
         while not self._stop.is_set():
@@ -531,7 +553,7 @@ class PlacementService:
             now = time.monotonic()
             with self._cond:
                 for handle, message in messages:
-                    self._on_message(message, now)
+                    self._on_message(handle, message, now)
                 for death in deaths:
                     self._on_death(death, now)
                 for death in self.pool.check_health(now):
@@ -581,17 +603,17 @@ class PlacementService:
             handle = idle.pop()
             attempt = record.attempt_count + 1
             token = f"{job_id}#a{attempt}"
+            resume = attempt > 1 or job_id in self._resume_first
             payload = _job_payload(
                 record.spec.job,
                 record.seq,
                 self._trace_dir,
-                # The flow must travel back when it can seed the cache;
-                # without a cache (or for an uncacheable spec) results
-                # stay scalar, as before.
+                # The flow travels back only when it can seed the cache or
+                # its caller asked for it; otherwise results stay scalar.
                 keep_placements=(
                     self.cache is not None and record.signature is not None
-                ),
-                resume=attempt > 1,
+                ) or job_id in self._flow_sinks,
+                resume=resume,
             )
             # Progress gating across the process boundary: the flag is
             # read once at dispatch; no subscriber means the worker sends
@@ -613,6 +635,7 @@ class PlacementService:
             except UNSENDABLE as exc:
                 # The spec cannot cross the pipe; the loop lives on.
                 idle.append(handle)
+                record.result = _failed(payload, type(exc).__name__, str(exc))
                 self._fail_attempt(
                     record, "rejected", f"{type(exc).__name__}: {exc}", now
                 )
@@ -621,12 +644,16 @@ class PlacementService:
             self.events.emit(
                 "job_start", job=job_id, attempt=attempt,
                 worker=handle.worker_id, slot=handle.slot,
-                resume=attempt > 1, queue_depth=self._queued,
+                resume=resume, queue_depth=self._queued,
             )
 
-    def _on_message(self, message: Tuple, now: float) -> None:
+    def _on_message(
+        self, handle: WorkerHandle, message: Tuple, now: float
+    ) -> None:
         tag = message[0]
-        if tag == "started":
+        if tag == "ready":
+            self._start_deaths[handle.slot] = 0
+        elif tag == "started":
             job_id = self._inflight.get(message[1])
             if job_id is not None:
                 self._records[job_id].attempts[-1].started_at = now
@@ -655,15 +682,15 @@ class PlacementService:
             if result.ok:
                 attempt.outcome = "done"
                 record.state = JobState.DONE
-                if (
-                    self.cache is not None
-                    and record.signature is not None
-                    and result.flow is not None
-                ):
-                    self.cache.put(record.signature, result.flow)
-                    # The cache owns the coordinate arrays from here; the
-                    # record keeps scalars + positions hash, like a hit's
-                    # record (records outlive the LRU budget).
+                if result.flow is not None:
+                    if self.cache is not None and record.signature is not None:
+                        self.cache.put(record.signature, result.flow)
+                    sink = self._flow_sinks.get(job_id)
+                    if sink is not None:
+                        sink(result.flow)
+                    # The cache and the caller own the coordinate arrays
+                    # from here; the record keeps scalars + positions hash,
+                    # like a hit's record (records outlive the LRU budget).
                     result = replace(result, flow=None)
                 record.result = result
                 record.finished_at = now
@@ -686,7 +713,10 @@ class PlacementService:
 
     def _on_death(self, death: WorkerDeath, now: float) -> None:
         if death.token is None:
-            return  # idle worker died; pool already logged and armed backoff
+            # A worker died holding no job; the pool already logged it and
+            # armed the backoff.
+            self._on_start_death(death, now)
+            return
         job_id = self._inflight.pop(death.token, None)
         if job_id is None:
             return
@@ -699,6 +729,22 @@ class PlacementService:
             "timeout" if death.reason == "job_timeout" else "worker_death"
         )
         self._fail_attempt(record, failure_class, death.detail, now)
+
+    def _on_start_death(self, death: WorkerDeath, now: float) -> None:
+        """Once no slot can start a worker, fail every queued job with one
+        attempt, never retried.  A ready report resets its slot's count."""
+        self._start_deaths[death.slot] += 1
+        if min(self._start_deaths) < _START_ATTEMPTS or self._inflight:
+            return
+        reason = f"no worker could start: {death.detail}"
+        for record in self._records.values():
+            if record.state == JobState.QUEUED:
+                self._queued -= 1
+                record.attempts.append(AttemptRecord(
+                    record.attempt_count + 1, death.worker_id, now,
+                    finished_at=now, outcome="worker_death", error=reason,
+                ))
+                self._finalize_failure(record, "worker_death", reason, now)
 
     def _check_job_timeouts(self, now: float) -> None:
         for handle in self.pool.handles:

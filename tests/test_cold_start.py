@@ -168,7 +168,10 @@ def test_wire_client_loads_no_scipy_or_core(tmp_path):
 
             with Client.connect({host!r}, {port}) as client:
                 record = client.submit("tiny").result(timeout=120)
+                batch = client.map("tiny", seeds=[1, 2], legalize=False,
+                                   max_iterations=4)
             assert record.state.value == "done", record.to_dict()
+            assert [job.ok for job in batch.jobs] == [True, True]
         """, tmp_path)
     assert "repro.service.net" in modules
     assert under(modules, "scipy", "repro.core") == []

@@ -46,6 +46,19 @@ class TestNetlistDelta:
         new = delta.apply(nl)
         assert new.cell_by_name(name).width == old_w * 2.0
 
+    def test_movable_hints_survive(self):
+        from repro.netlist import NetlistBuilder
+
+        b = NetlistBuilder("hints")
+        b.add_cell("a", 10.0, 10.0, x=5.0, y=6.0)
+        b.add_cell("b", 10.0, 10.0)
+        b.add_net("n", [("a", "output"), ("b", "input")])
+        new = NetlistDelta(resize_cells={"b": 30.0}).apply(b.build())
+        hinted, bare = new.cell_by_name("a"), new.cell_by_name("b")
+        assert (hinted.x, hinted.y) == (5.0, 6.0)
+        assert (bare.x, bare.y) == (None, None)
+        assert bare.width == 30.0
+
     def test_remove_net(self, small_circuit):
         nl = small_circuit.netlist
         victim = nl.nets[0].name

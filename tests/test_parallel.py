@@ -23,7 +23,6 @@ from repro import (
     PlacementJob,
     PlacerConfig,
     place,
-    place_many,
     run_batch,
 )
 from repro.api import region_for_netlist, resolve_source
@@ -454,33 +453,37 @@ class TestBatchAggregates:
 
 
 # ----------------------------------------------------------------------
-# place_many
+# Client.local().map: one source over seeds, many sources, prebuilt jobs
 # ----------------------------------------------------------------------
+def local_map(sources, **kwargs):
+    return repro.Client.local().map(sources, **kwargs)
+
+
 class TestPlaceMany:
     def test_multi_start_fanout(self):
-        batch = place_many("tiny", seeds=range(3), workers=0,
+        batch = local_map("tiny", seeds=range(3), workers=0,
                            legalize=False, max_iterations=8)
         assert len(batch.jobs) == 3
         assert [j.seed for j in batch.jobs] == [0, 1, 2]
         assert all(j.ok for j in batch.jobs)
 
     def test_source_sequence(self, tiny_circuit):
-        batch = place_many(
+        batch = local_map(
             ["tiny", tiny_circuit], workers=0, legalize=False,
             max_iterations=4,
         )
         assert len(batch.jobs) == 2 and all(j.ok for j in batch.jobs)
 
     def test_prebuilt_jobs_pass_through(self):
-        batch = place_many(tiny_jobs([0, 1]), workers=0)
+        batch = local_map(tiny_jobs([0, 1]), workers=0)
         assert [j.seed for j in batch.jobs] == [0, 1]
 
     def test_seed_source_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="seeds for"):
-            place_many(["tiny", "tiny", "tiny"], seeds=[0, 1], workers=0)
+            local_map(["tiny", "tiny", "tiny"], seeds=[0, 1], workers=0)
 
     def test_matches_place_bitwise(self):
-        batch = place_many("tiny", seeds=[5], workers=0, legalize=False)
+        batch = local_map("tiny", seeds=[5], workers=0, legalize=False)
         single = place("tiny", seed=5, legalize=False)
         assert batch.jobs[0].final_hpwl_m == single.final_hpwl_m
         assert np.array_equal(
@@ -520,18 +523,23 @@ class TestEnginePlumbing:
         assert batch.jobs == () and batch.best is None
         assert batch.median_hpwl_m is None
 
-    def test_checkpoint_dir_resume_bit_identical(self, tmp_path):
-        full = run_batch(tiny_jobs([0], max_iterations=None), workers=0)
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_checkpoint_dir_resume_bit_identical(self, tmp_path, workers):
+        # Two jobs, so that workers=2 runs them on the pool: a one-job
+        # batch runs in-process.
+        full = run_batch(tiny_jobs([0, 1], max_iterations=None), workers=0)
         run_batch(
-            tiny_jobs([0], max_iterations=4), workers=0,
+            tiny_jobs([0, 1], max_iterations=4), workers=workers,
             checkpoint_dir=tmp_path, checkpoint_every=2,
         )
         assert (tmp_path / "tiny-s0.ckpt.npz").exists()
+        assert (tmp_path / "tiny-s1.ckpt.npz").exists()
         resumed = run_batch(
-            tiny_jobs([0], max_iterations=None), workers=0,
+            tiny_jobs([0, 1], max_iterations=None), workers=workers,
             checkpoint_dir=tmp_path, resume=True,
         )
         assert resumed.hpwls == full.hpwls
+        assert [j.resumed_iteration for j in resumed.jobs] == [4, 4]
 
     def test_job_config_dict_normalizes(self):
         job = PlacementJob(source="tiny", seed=4,

@@ -88,15 +88,17 @@ class TestFacadeStability:
         assert keyword_only["legalize"] is True
         assert keyword_only["seed"] == 0
 
-    def test_place_many_signature(self):
-        from repro.api import place_many
+    def test_client_map_signature(self):
+        """`Client.map` is the batch entry point for both transports:
+        its keywords are a compatibility contract."""
+        from repro.api import Client
 
-        sig = inspect.signature(place_many)
+        sig = inspect.signature(Client.map)
         params = list(sig.parameters.values())
-        assert params[0].name == "sources"
-        keyword_only = {p.name: p.default for p in params[1:]}
+        assert params[1].name == "sources"
+        keyword_only = {p.name: p.default for p in params[2:]}
         assert all(
-            p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[1:]
+            p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[2:]
         )
         assert keyword_only["seeds"] is None
         assert keyword_only["workers"] is None
@@ -106,9 +108,20 @@ class TestFacadeStability:
         import repro
 
         assert repro.place is importlib.import_module("repro.api").place
-        for name in ("place", "place_many", "FlowResult", "PlacementJob",
+        for name in ("place", "Client", "FlowResult", "PlacementJob",
                      "run_batch", "BatchResult"):
             assert name in repro.__all__
+
+    def test_place_many_removed(self):
+        """``place_many`` is gone; the migration path is
+        ``Client.local().map`` (see docs/API.md)."""
+        import repro
+        import repro.api
+
+        assert not hasattr(repro, "place_many")
+        assert not hasattr(repro.api, "place_many")
+        assert "place_many" not in repro.__all__
+        assert "place_many" not in repro.api.__all__
 
     def test_place_circuit_shim_removed(self):
         """The 1.1-era ``place_circuit`` shim is gone as of 1.3.0; the

@@ -14,6 +14,7 @@ every recovery path is exercised on every run, even on a one-core box.
 """
 
 import json
+import os
 import time
 
 import pytest
@@ -401,6 +402,26 @@ class TestServiceChaos:
         assert [a.outcome for a in record.attempts] == ["numerical"] * 2
         assert report["failure_classes"] == {"numerical": 1}
         assert report["retries"] == 1
+
+    def test_workers_that_cannot_start_fail_queued_jobs(self, monkeypatch):
+        """Workers that die before reporting ready are respawned a few
+        times per slot; then a queued job fails for good instead of
+        waiting for a worker forever, and the service still takes work."""
+        from repro.testing.faults import FAULT_SPEC_ENV
+
+        monkeypatch.setenv(FAULT_SPEC_ENV, "not json")  # fails worker start
+        workers = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
+        with PlacementService(service_config(workers=workers)) as svc:
+            svc.submit(tiny_job(1), job_id="stranded")
+            record = svc.wait("stranded", timeout=60)
+            assert record is not None, "the job is still waiting"
+            later = svc.submit(tiny_job(2), job_id="later")
+            assert later.admitted
+            assert svc.wait("later", timeout=60).state == JobState.FAILED
+        assert record.state == JobState.FAILED
+        assert record.failure_class == "worker_death"
+        assert record.reason.startswith("no worker could start: worker ")
+        assert record.attempt_count == 1
 
     def test_chaos_kill_worker_api(self, tmp_path):
         # The ops/chaos entry point: kill a slot while idle; the pool

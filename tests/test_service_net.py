@@ -440,6 +440,54 @@ class TestSubmitResult:
 
 
 # ----------------------------------------------------------------------
+# Client.map on a connected client runs on the server
+# ----------------------------------------------------------------------
+class TestWireMap:
+    def test_map_runs_on_the_server(self, server):
+        from repro.parallel import run_batch
+
+        with Client.connect(*server.address, token="map") as client:
+            before = client.report()["n_submitted"]
+            batch = client.map("tiny", seeds=[0, 1, 2], legalize=False,
+                               max_iterations=8)
+            after = client.report()["n_submitted"]
+        assert after - before == 3
+        serial = run_batch(
+            [PlacementJob(source="tiny", seed=s, legalize=False,
+                          max_iterations=8) for s in (0, 1, 2)],
+            workers=0,
+        )
+        assert [j.ok for j in batch.jobs] == [True] * 3
+        assert [j.positions_hash for j in batch.jobs] == [
+            j.positions_hash for j in serial.jobs
+        ]
+        assert [(j.name, j.index) for j in batch.jobs] == [
+            (j.name, j.index) for j in serial.jobs
+        ]
+        assert all(j.flow is None for j in batch.jobs)
+
+    def test_queue_full_is_backpressure(self):
+        """A map larger than the server's queue bound still runs every
+        job: a shed submit is sent again once one of its jobs ended."""
+        config = service_config(max_queue_depth=1)
+        with PlacementServer(service_config=config) as srv:
+            with Client.connect(*srv.address, token="q") as client:
+                seen = []
+                batch = client.map(
+                    "tiny", seeds=range(4), legalize=False,
+                    max_iterations=30,
+                    progress=lambda r, done, total: seen.append(done),
+                )
+                report = client.report()
+        assert [j.ok for j in batch.jobs] == [True] * 4
+        assert seen == [1, 2, 3, 4]
+        assert report["n_done"] == 4
+        assert report["n_shed"] >= 1, "nothing shed with a queue bound of 1"
+        assert report["n_shed"] == report["n_submitted"] - 4
+        assert set(report["shed_reasons"]) == {"queue_full"}
+
+
+# ----------------------------------------------------------------------
 # Result cache over the wire: hits are bit-identical to cold runs
 # ----------------------------------------------------------------------
 class TestWireCache:

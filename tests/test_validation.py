@@ -42,8 +42,8 @@ def _with_cell_field(text, cell, column, value):
 
 
 #: Token positions of a text-format cell record's fields ("cell" is 0).
-TEXT_COLUMNS = {"width": 2, "height": 3, "x": 6, "y": 7, "delay": 8,
-                "input_cap": 9, "power": 10}
+TEXT_COLUMNS = {"width": 2, "height": 3, "mobility": 5, "x": 6, "y": 7,
+                "delay": 8, "input_cap": 9, "power": 10, "is_register": 11}
 
 
 class TestNetlistConstructionRejects:
@@ -84,6 +84,21 @@ class TestNetlistConstructionRejects:
         )
         with pytest.raises(
             ValueError, match=rf"^line {lineno}: (fixed )?cell '{cell}' has non-finite"
+        ):
+            netlist_from_string(text)
+
+    @pytest.mark.parametrize("cell,field,value", [
+        ("a", "mobility", "sideways"), ("pad", "mobility", "Fixed"),
+        ("a", "is_register", "7"), ("pad", "is_register", "true"),
+    ])
+    def test_text_format_takes_only_written_tokens(self, cell, field, value):
+        # A token the writer never emits would give one design two
+        # canonical texts, and so two memo keys.
+        text, lineno = _with_cell_field(
+            _text_netlist(), cell, TEXT_COLUMNS[field], value
+        )
+        with pytest.raises(
+            ValueError, match=rf"^line {lineno}: {field} must be '"
         ):
             netlist_from_string(text)
 
