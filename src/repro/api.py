@@ -285,7 +285,6 @@ def place(
     telemetry=None,
     max_iterations: Optional[int] = None,
     resume_from=None,
-    reuse=None,
     iteration_hook: Optional[Callable[..., None]] = None,
 ) -> FlowResult:
     """Place one design end to end and return a :class:`FlowResult`.
@@ -295,9 +294,10 @@ def place(
     *seed* always wins over the config's seed so multi-start sweeps can
     share one config object.  ``legalize=True`` (the default) runs the
     Abacus + detailed-improvement final placement after global placement.
-    *reuse* optionally passes a :class:`~repro.core.reuse.ReuseContext` so
-    repeated runs on the same netlist (e.g. the bench's determinism repeat)
-    skip the setup work — bit-identically, see ``core/reuse.py``.
+    This is the one place the library chains the two stages: ``repro
+    place``, ``repro bench`` and every batch and service job run it.
+    *telemetry* records the ``setup`` span (one per V-cycle level), the
+    placer's spans and streams, and the ``legalize`` span.
     *iteration_hook* — ``hook(stats, placement)`` called once per placer
     transformation (the streaming-progress bridge); passing one opens the
     placer's observer gate.  So does an enabled *telemetry*, a verbose
@@ -312,6 +312,7 @@ def place(
     from .core.placer import KraftwerkPlacer
     from .evaluation.wirelength import hpwl_meters
     from .legalize import final_placement
+    from .observability import NULL_TELEMETRY
 
     netlist, resolved_region, name = resolve_source(
         source, region=region, utilization=utilization, scale=scale
@@ -321,6 +322,7 @@ def place(
     cfg = dc_replace(config, seed=seed) if config is not None else PlacerConfig(
         seed=seed
     )
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
     if cfg.multilevel_levels > 0:
         from .core.multilevel import MultilevelPlacer
 
@@ -329,8 +331,7 @@ def place(
             resolved_region,
             cfg,
             refine_iterations=max_iterations,
-            telemetry=telemetry,
-            reuse=reuse,
+            telemetry=tel,
         ).place(resume_from=resume_from, iteration_hook=iteration_hook)
         result: PlacementResult = dc_replace(
             ml.refine_result,
@@ -338,9 +339,10 @@ def place(
             seconds=ml.seconds,
         )
     else:
-        placer = KraftwerkPlacer(
-            netlist, resolved_region, cfg, telemetry=telemetry, reuse=reuse
-        )
+        with tel.span("setup"):
+            placer = KraftwerkPlacer(
+                netlist, resolved_region, cfg, telemetry=tel
+            )
         result = placer.place(
             max_iterations=max_iterations,
             resume_from=resume_from,
@@ -353,14 +355,13 @@ def place(
         import time
 
         t0 = time.perf_counter()
-        leg_kwargs = {} if telemetry is None else {"telemetry": telemetry}
         legal = final_placement(
             result.placement,
             resolved_region,
+            telemetry=tel,
             bands=cfg.legalize_bands,
             threads=cfg.legalize_threads,
             improver_min_gain=cfg.improver_min_gain,
-            **leg_kwargs,
         )
         seconds += time.perf_counter() - t0
         legal_hpwl = hpwl_meters(legal)

@@ -2,15 +2,17 @@
 
 Commands
 --------
-``stats``    print structural statistics of a suite circuit or netlist file.
-``place``    global placement (+ optional legalization, SVG, output files).
+``stats``    print structural statistics of a design.
+``place``    global placement (+ optional legalization, SVG, output files)
+             through :func:`repro.place`.
 ``batch``    run many jobs of one design (multi-start seeds) concurrently
              over the parallel batch engine.
 ``sweep``    K / net-model / seed parameter sweep over the batch engine.
 ``timing``   longest-path analysis of a placement.
 ``convert``  convert between the repro text format and Bookshelf.
-``bench``    place + legalize the generator circuits under telemetry and
-             write the ``BENCH_kraftwerk.json`` regression report.
+``bench``    run :func:`repro.place` on the generator circuits under
+             telemetry and write the ``BENCH_kraftwerk.json`` regression
+             report.
 ``serve``    run the fault-tolerant placement service (supervised workers,
              retries, migration) over a jobs file, or serve the
              ``repro-wire/1`` TCP protocol until interrupted.
@@ -34,6 +36,11 @@ Examples::
     python -m repro serve --listen 127.0.0.1:7878 --workers 2 &
     python -m repro submit --connect 127.0.0.1:7878 --circuit tiny --seed 3 \
         --wait
+
+Every command that takes a design (``--circuit NAME`` or ``--netlist
+FILE``) resolves it with :func:`repro.api.resolve_source`, as a job does:
+a suite circuit or bench size, a repro netlist file or a Bookshelf
+``.aux`` set.
 """
 
 from __future__ import annotations
@@ -54,31 +61,26 @@ if TYPE_CHECKING:
 
 
 def _load_design(args) -> Tuple[Netlist, PlacementRegion]:
-    """Netlist + region from either --circuit or --netlist."""
-    from .netlist import load_netlist, make_circuit
+    """Netlist + region of --circuit or --netlist, resolved the way
+    :func:`repro.place` resolves a source: an unknown name raises
+    ``ValueError``, which :func:`main` prints as one ``error:`` line."""
+    from .api import resolve_source
 
-    if args.circuit:
-        generated = make_circuit(args.circuit, scale=args.scale)
-        return generated.netlist, generated.region
-    if args.netlist:
-        netlist = load_netlist(args.netlist)
-        region = _region_for(netlist, args.utilization)
-        return netlist, region
-    raise SystemExit("need --circuit NAME or --netlist FILE")
-
-
-def _region_for(netlist: Netlist, utilization: float) -> PlacementRegion:
-    """Square-ish region sized from cell area at the given utilization."""
-    from .api import region_for_netlist
-
-    return region_for_netlist(netlist, utilization)
+    netlist, region, _ = resolve_source(
+        _batch_source(args), scale=args.scale, utilization=args.utilization
+    )
+    return netlist, region
 
 
 def _add_design_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--circuit", help="suite circuit name (e.g. biomed)")
+    parser.add_argument("--circuit",
+                        help="suite circuit (e.g. biomed) or bench size "
+                             "(tiny ... huge)")
     parser.add_argument("--scale", type=float, default=0.2,
                         help="suite size scale factor (default 0.2)")
-    parser.add_argument("--netlist", help="repro netlist file instead of --circuit")
+    parser.add_argument("--netlist",
+                        help="repro netlist file or Bookshelf .aux instead "
+                             "of --circuit")
     parser.add_argument("--utilization", type=float, default=0.8,
                         help="region utilization when deriving a region")
 
@@ -142,7 +144,7 @@ def _add_placer_args(
 
 
 def _batch_source(args):
-    """The (picklable) job source string/path for batch/sweep commands."""
+    """The design argument: --circuit wins over --netlist."""
     if args.circuit:
         return args.circuit
     if args.netlist:
@@ -189,9 +191,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_place(args) -> int:
-    from .core import KraftwerkPlacer, PlacerConfig
-    from .evaluation import distribution_stats, hpwl_meters, total_overlap
-    from .legalize import final_placement
+    from .api import place
+    from .core import PlacerConfig
+    from .evaluation import distribution_stats, total_overlap
     from .netlist import save_netlist, save_placement, validate_netlist
 
     netlist, region = _load_design(args)
@@ -208,43 +210,25 @@ def cmd_place(args) -> int:
         else:
             print(f"no checkpoint at {args.checkpoint}; starting fresh",
                   file=sys.stderr)
-    t0 = time.perf_counter()
     if config.multilevel_levels > 0:
-        from .core.multilevel import MultilevelPlacer
-
-        ml = MultilevelPlacer(netlist, region, config).place(
-            resume_from=resume_from
-        )
-        result = ml.refine_result
-        iterations = ml.total_iterations
-        if ml.coarse_results:
-            coarsest = ml.coarse_results[0].placement.netlist.num_movable
-            print(f"multilevel      : {ml.levels} coarsening levels, "
-                  f"coarsest {coarsest} cells")
-        else:
-            print("multilevel      : netlist too small to coarsen")
-    else:
-        result = KraftwerkPlacer(netlist, region, config).place(
-            resume_from=resume_from
-        )
-        iterations = result.iterations
-    placement = result.placement
-    status = f"converged={result.converged}"
-    if result.timed_out:
+        print(f"multilevel      : {config.multilevel_levels} coarsening levels")
+    flow = place(
+        (netlist, region),
+        config=config,
+        seed=config.seed,
+        legalize=args.legalize,
+        resume_from=resume_from,
+    )
+    status = f"converged={flow.converged}"
+    if flow.timed_out:
         status += ", deadline hit: returning best placement seen"
-    if result.recovery_escalations:
-        status += f", {result.recovery_escalations} solver recovery escalations"
-    print(f"global placement: {result.hpwl_m:.4f} m in {iterations} "
-          f"transformations ({time.perf_counter() - t0:.1f}s, {status})")
+    if flow.recovery_escalations:
+        status += f", {flow.recovery_escalations} solver recovery escalations"
+    print(f"global placement: {flow.hpwl_m:.4f} m in {flow.iterations} "
+          f"transformations ({flow.seconds:.1f}s, {status})")
+    placement = flow.final
     if args.legalize:
-        placement = final_placement(
-            placement,
-            region,
-            bands=config.legalize_bands,
-            threads=config.legalize_threads,
-            improver_min_gain=config.improver_min_gain,
-        )
-        print(f"final placement : {hpwl_meters(placement):.4f} m "
+        print(f"final placement : {flow.legal_hpwl_m:.4f} m "
               f"(overlap {total_overlap(placement):.2f} um^2)")
     dist = distribution_stats(placement, region)
     print(f"distribution    : peak density {dist.max_density:.2f}, "
@@ -512,11 +496,10 @@ def cmd_bench(args) -> int:
     # Imported lazily: bench pulls in the whole placer stack.
     from .observability.bench import resolve_sizes, write_bench_report
 
-    # --sizes (comma list or "all") wins; legacy --size selects one size;
-    # with neither, the full tiny/small/medium sweep runs.
-    spec = args.sizes if args.sizes is not None else args.size
+    # --sizes is a comma list or "all"; without it the full
+    # tiny/small/medium sweep runs.
     try:
-        sizes = resolve_sizes(spec)
+        sizes = resolve_sizes(args.sizes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -868,16 +851,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", default=None,
                          help="comma-separated sizes or 'all' "
                               "(default: all of tiny,small,medium)")
-    p_bench.add_argument("--size", default=None,
-                         choices=["tiny", "small", "medium", "large",
-                                  "huge", "all"],
-                         help="single size (legacy alias for --sizes)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default="BENCH_kraftwerk.json",
                          help="report path (default BENCH_kraftwerk.json)")
     p_bench.add_argument("--profile", action="store_true",
-                         help="attach cProfile top-15 cumulative functions "
-                              "for the place and legalize phases")
+                         help="attach the cProfile top-15 cumulative "
+                              "functions of the instrumented flow")
     p_bench.add_argument("--no-legalize", action="store_true",
                          help="skip the final placement step")
     p_bench.add_argument("--trace",

@@ -9,12 +9,10 @@ run (``refine_iterations`` transformations) to separate cluster members and
 polish wire length.  This is what makes 100k+-cell circuits placeable in
 reasonable wall-clock (see ``docs/MULTILEVEL.md``).
 
-The flow is reachable three ways:
-
-- directly: ``MultilevelPlacer(netlist, region, config, levels=2).place()``;
-- via config: ``PlacerConfig(multilevel_levels=2)`` makes
-  :func:`repro.api.place` route through this class;
-- via CLI: ``repro place --multilevel 2``.
+The flow runs through :func:`repro.api.place` whenever
+``PlacerConfig.multilevel_levels`` is positive: ``repro place --multilevel
+2``, ``repro bench`` on the scale sizes and every batch or service job
+with such a config.
 
 Checkpointing: only the final full-netlist refinement stage writes
 checkpoints (coarse stages run with ``checkpoint_path=None``), so a
@@ -35,7 +33,6 @@ from ..geometry import PlacementRegion
 from ..observability import NULL_TELEMETRY
 from .config import PlacerConfig
 from .placer import KraftwerkPlacer, PlacementResult
-from .reuse import ReuseContext
 
 
 @dataclass
@@ -76,7 +73,6 @@ class MultilevelPlacer:
         levels: Optional[int] = None,
         refine_iterations: Optional[int] = None,
         telemetry=None,
-        reuse: Optional[ReuseContext] = None,
     ):
         self.config = config or PlacerConfig()
         if levels is None:
@@ -90,10 +86,6 @@ class MultilevelPlacer:
         self.levels = levels
         self.refine_iterations = refine_iterations
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Shared per-netlist setup cache: clusterings, quadratic systems
-        # and force calculators are reused across levels and across whole
-        # runs (bit-identically — see core/reuse.py).
-        self.reuse = reuse
 
     def place(self, resume_from=None, iteration_hook=None) -> MultilevelResult:
         """Run the V-cycle; ``resume_from`` (a checkpoint of the original
@@ -117,19 +109,8 @@ class MultilevelPlacer:
             with telemetry.span("coarsen") as span:
                 # One multi-level clustering pass: the pair table is
                 # extracted once from the finest netlist and remapped per
-                # level instead of re-walking every coarse net.  Cached in
-                # the reuse context, so a repeat run pays nothing.
-                def make_clusterings():
-                    return cluster_netlist_multi(self.netlist, self.levels)
-
-                if self.reuse is not None:
-                    clusterings = self.reuse.get(
-                        self.netlist,
-                        ("clusterings", self.levels),
-                        make_clusterings,
-                    )
-                else:
-                    clusterings = make_clusterings()
+                # level instead of re-walking every coarse net.
+                clusterings = cluster_netlist_multi(self.netlist, self.levels)
                 span.add("levels", len(clusterings))
                 if clusterings:
                     span.add(
@@ -146,7 +127,7 @@ class MultilevelPlacer:
                     with telemetry.span("setup"):
                         placer = KraftwerkPlacer(
                             clustering.coarse, self.region, coarse_cfg,
-                            telemetry=telemetry, reuse=self.reuse,
+                            telemetry=telemetry,
                         )
                     result = placer.place(
                         initial=placement,
@@ -172,8 +153,7 @@ class MultilevelPlacer:
         with telemetry.span("level-0") as span:
             with telemetry.span("setup"):
                 refine_placer = KraftwerkPlacer(
-                    self.netlist, self.region, self.config,
-                    telemetry=telemetry, reuse=self.reuse,
+                    self.netlist, self.region, self.config, telemetry=telemetry
                 )
             refine = refine_placer.place(
                 initial=placement,

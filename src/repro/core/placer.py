@@ -42,7 +42,6 @@ from .forces import CellForces, ForceCalculator
 from .health import HealthGuard, _FAULT_HOOKS
 from .linearization import linearization_factors
 from .quadratic import QuadraticSystem
-from .reuse import ReuseContext
 from .solver import conjugate_gradient, solve_with_recovery
 
 #: Conjugate-gradient termination: the relative residual every system is
@@ -131,7 +130,6 @@ class KraftwerkPlacer:
         region: PlacementRegion,
         config: Optional[PlacerConfig] = None,
         telemetry=None,
-        reuse: Optional["ReuseContext"] = None,
     ):
         if netlist.num_movable == 0:
             raise ValueError("netlist has no movable cells")
@@ -142,50 +140,22 @@ class KraftwerkPlacer:
         # Resolve the array backend up front so a requested-but-missing
         # accelerator fails at construction, not mid-run.
         self.backend = resolve_backend(self.config.backend)
-        # The quadratic system and force calculator are pure functions of
-        # (netlist, region, the keyed knobs); a ReuseContext shares them
-        # across placer instances — per-level in a V-cycle and across the
-        # bench's determinism repeat run — bit-identically.
         if self.config.net_model == "b2b":
             from .b2b import B2BSystem
 
-            sys_key = ("system", "b2b")
-
-            def make_system():
-                return B2BSystem(netlist)
+            self.system = B2BSystem(netlist)
         else:
-            sys_key = ("system", "clique", self.config.clique_threshold)
-
-            def make_system():
-                return QuadraticSystem(
-                    netlist, clique_threshold=self.config.clique_threshold
-                )
-
-        def make_forces():
-            return ForceCalculator(
-                netlist,
-                region,
-                bins=self.config.density_bins,
-                max_bins=self.config.max_density_bins,
-                telemetry=self.telemetry,
-                backend=self.backend,
+            self.system = QuadraticSystem(
+                netlist, clique_threshold=self.config.clique_threshold
             )
-
-        if reuse is not None:
-            self.system = reuse.get(netlist, sys_key, make_system)
-            # The cached calculator holds only construction-time state; the
-            # region object is kept alive by the cache entry itself, so the
-            # id() in the key cannot alias a different live region.
-            forces_key = (
-                "forces", id(region), self.config.density_bins,
-                self.config.max_density_bins, self.config.backend,
-            )
-            self.force_calc = reuse.get(netlist, forces_key, make_forces)
-            # Telemetry is per-run, not part of the cached state.
-            self.force_calc.telemetry = self.telemetry
-        else:
-            self.system = make_system()
-            self.force_calc = make_forces()
+        self.force_calc = ForceCalculator(
+            netlist,
+            region,
+            bins=self.config.density_bins,
+            max_bins=self.config.max_density_bins,
+            telemetry=self.telemetry,
+            backend=self.backend,
+        )
         # Linearization span guard: roughly one cell width, so coincident
         # cells are not welded together by quasi-infinite 1/span weights.
         mean_width = (

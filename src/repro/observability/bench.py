@@ -1,7 +1,8 @@
 """The ``repro bench`` regression harness.
 
-Runs the generator circuits through the full place + legalize flow under a
-real telemetry recorder and emits a machine-readable report
+Runs the generator circuits through :func:`repro.place` — the same flow
+``repro place`` and every batch or service job run — under a real
+telemetry recorder and emits a machine-readable report
 (``BENCH_kraftwerk.json`` by default) containing:
 
 - a *complete* wall-clock attribution: every second of ``total_seconds``
@@ -14,15 +15,17 @@ real telemetry recorder and emits a machine-readable report
   :data:`MIN_TRACKED_SHARE` of the wall — an untracked cost must be
   attributed, not ignored,
 - final HPWL (global and legalized) and iteration count,
-- a determinism check: the run is repeated with the same seed under the
-  no-op recorder and must produce a bit-identical placement (compared by
-  SHA-256 over the raw coordinate bytes),
+- a determinism check: a second, fresh :func:`repro.place` call with the
+  same seed under the no-op recorder (setup included: clustering, the
+  quadratic pattern and the force calculator are built anew) must produce
+  a bit-identical global placement (compared by SHA-256 over the raw
+  coordinate bytes),
 - the telemetry overhead estimate that falls out of the repeat run for
-  free (instrumented wall-clock vs. no-op wall-clock),
+  free (instrumented placement wall-clock vs. no-op wall-clock),
 - the machine context (CPU count, platform, numpy/scipy versions) so
   absolute timings from different hosts are never compared blindly,
 - optionally (``profile=True`` / ``repro bench --profile``) the top-15
-  cumulative-time functions of the place and legalize phases from
+  cumulative-time functions of the instrumented flow from
   :mod:`cProfile`.
 
 Future PRs regress against the committed ``BENCH_*.json``: a phase that
@@ -38,28 +41,19 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..core import KraftwerkPlacer, PlacerConfig
-from ..core.reuse import ReuseContext
-from ..evaluation import hpwl_meters
-from ..legalize import final_placement
+from ..api import place
+from ..core import PlacerConfig
+# repro.place imports the placer and the legalizer on first use; load them
+# with the harness, so that the first size's buckets time placement, not
+# imports.
+from ..core import multilevel, placer  # noqa: F401
+from ..legalize import final_placement  # noqa: F401
 from ..netlist import generate_circuit
 from ..netlist.placement import placement_hash
 from ..netlist.generator import BENCH_SIZES, bench_spec
-from . import NULL_TELEMETRY, Telemetry
+from . import Telemetry
 
 BENCH_SCHEMA = "repro-bench/2"
-
-#: Top-level keys of the pre-``repro-bench/2`` report that mirrored the
-#: first run; stripped on rewrite so ``runs`` is the single source of truth.
-_LEGACY_MIRROR_KEYS = (
-    "phases",
-    "phase_shares",
-    "hpwl_m",
-    "final_hpwl_m",
-    "iterations",
-    "cg_iterations",
-    "determinism_hash",
-)
 
 # BENCH_SIZES is owned by the netlist layer (repro.netlist.generator):
 # the generator defines the circuits, this module layers the benchmark
@@ -251,15 +245,15 @@ def run_bench(
 ) -> Dict[str, Any]:
     """Benchmark one generator circuit; returns the report dict.
 
-    The circuit is placed twice with the same seed: once instrumented,
-    once under the no-op recorder.  The second run powers both the
-    determinism check and the telemetry-overhead estimate; it shares a
-    :class:`~repro.core.reuse.ReuseContext` with the first run, so it pays
-    no setup cost (bit-identically — the determinism hash pins that).
+    The circuit is placed twice with the same seed, each time by one
+    :func:`repro.place` call: once instrumented (with legalization when
+    *legalize*), once fresh under the no-op recorder and without
+    legalization.  The second run powers both the determinism check and
+    the telemetry-overhead estimate.
 
     ``profile=True`` additionally runs :mod:`cProfile` over the
-    instrumented placement and the legalization, and attaches the top-15
-    cumulative functions of each under ``"profile"``.
+    instrumented call and attaches its top-15 cumulative functions under
+    ``profile["flow"]``.
     """
     from ..perf import tune_allocator
 
@@ -273,81 +267,32 @@ def run_bench(
     config = PlacerConfig(
         seed=seed, multilevel_levels=levels, **SCALE_KNOBS.get(size, {})
     )
-    reuse = ReuseContext()
 
-    def _run(telemetry=None):
-        tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        if levels > 0:
-            from ..core.multilevel import MultilevelPlacer
-
-            ml = MultilevelPlacer(
-                netlist, region, config, telemetry=tel, reuse=reuse
-            ).place()
-            histories = [r.history for r in ml.coarse_results] + [
-                ml.refine_result.history
-            ]
-            return (
-                ml.placement,
-                ml.total_iterations,
-                ml.refine_result.converged,
-                [s for h in histories for s in h],
-                ml.hpwl_m,
-            )
-        with tel.span("setup"):
-            placer = KraftwerkPlacer(
-                netlist, region, config, telemetry=tel, reuse=reuse
-            )
-        result = placer.place()
-        return (
-            result.placement,
-            result.iterations,
-            result.converged,
-            result.history,
-            result.hpwl_m,
-        )
-
-    prof_place = prof_legalize = None
+    profiler = None
     if profile:
         import cProfile
 
-        prof_place = cProfile.Profile()
-        prof_legalize = cProfile.Profile()
+        profiler = cProfile.Profile()
 
     telemetry = Telemetry()
     t0 = time.perf_counter()
-    if prof_place is not None:
-        prof_place.enable()
-    placement, iterations, converged, history, global_hpwl = _run(telemetry)
-    if prof_place is not None:
-        prof_place.disable()
-    instrumented_s = time.perf_counter() - t0
-
-    final = placement
-    legalize_s = 0.0
-    if legalize:
-        t0 = time.perf_counter()
-        if prof_legalize is not None:
-            prof_legalize.enable()
-        final = final_placement(
-            placement,
-            region,
-            telemetry=telemetry,
-            bands=config.legalize_bands,
-            threads=config.legalize_threads,
-            improver_min_gain=config.improver_min_gain,
-        )
-        if prof_legalize is not None:
-            prof_legalize.disable()
-        legalize_s = time.perf_counter() - t0
+    if profiler is not None:
+        profiler.enable()
+    flow = place(
+        (netlist, region), config=config, seed=seed, legalize=legalize,
+        telemetry=telemetry,
+    )
+    if profiler is not None:
+        profiler.disable()
+    flow_s = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    repeat_placement = _run()[0]
+    repeat = place((netlist, region), config=config, seed=seed, legalize=False)
     noop_s = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    global_hash = placement_hash(placement)
-    repeat_hash = placement_hash(repeat_placement)
-    final_hpwl = hpwl_meters(final)
+    global_hash = placement_hash(flow.placement)
+    repeat_hash = placement_hash(repeat.placement)
     evaluate_s = time.perf_counter() - t2
 
     # ---- wall-clock attribution: every bucket disjoint, sum == wall ----
@@ -356,6 +301,10 @@ def run_bench(
     def leaf(name: str) -> float:
         return totals.get(name, {}).get("seconds", 0.0)
 
+    legalize_s = leaf("legalize")
+    # The placement part of the instrumented call: everything but the
+    # legalize span (the facade's glue counts as placement residual).
+    instrumented_s = flow_s - legalize_s
     place_leaf_s = sum(leaf(n) for n in PLACE_LEAVES)
     legalize_leaf_s = sum(leaf(n) for n in LEGALIZE_LEAVES)
     phases = {name: round(leaf(name), 6) for name in PLACE_LEAVES}
@@ -384,7 +333,9 @@ def run_bench(
             f"({tracked / total_seconds:.1%} < {MIN_TRACKED_SHARE:.0%}); "
             f"an untracked cost must be attributed ({breakdown})"
         )
-    cg_iterations = int(sum(s.cg_iterations for s in history))
+    cg_iterations = int(
+        sum(telemetry.stream("iterations").series("cg_iterations"))
+    )
 
     if trace_path is not None:
         telemetry.write_trace(trace_path)
@@ -398,11 +349,11 @@ def run_bench(
             "nets": int(netlist.num_nets),
         },
         "seed": seed,
-        "iterations": iterations,
-        "converged": converged,
+        "iterations": flow.iterations,
+        "converged": flow.converged,
         "multilevel_levels": levels,
-        "hpwl_m": global_hpwl,
-        "final_hpwl_m": final_hpwl,
+        "hpwl_m": flow.hpwl_m,
+        "final_hpwl_m": flow.final_hpwl_m,
         "legalized": legalize,
         "cg_iterations": cg_iterations,
         "phases": phases,
@@ -416,14 +367,11 @@ def run_bench(
             "noop": round(noop_s, 6),
             # > 0 means the instrumented run was slower; noisy on small
             # circuits, recorded for trend-watching rather than gating.
-            # The repeat run reuses the instrumented run's setup (shared
-            # ReuseContext), which also biases this estimate upward.
             "overhead_fraction": round(
                 (instrumented_s - noop_s) / noop_s if noop_s > 0 else 0.0, 4
             ),
         },
         "vcycle_levels": _vcycle_breakdown(telemetry),
-        "reuse": reuse.stats(),
         "machine": machine_context(),
         "determinism": {
             "hash": global_hash,
@@ -431,11 +379,8 @@ def run_bench(
             "deterministic": global_hash == repeat_hash,
         },
     }
-    if profile:
-        record["profile"] = {
-            "place": _profile_top(prof_place),
-            "legalize": _profile_top(prof_legalize) if legalize else [],
-        }
+    if profiler is not None:
+        record["profile"] = {"flow": _profile_top(profiler)}
     return record
 
 
@@ -450,18 +395,10 @@ def merge_batch_record(
     ``"batch"`` key (replacing any previous one); the rest of the report is
     preserved, and a missing report file yields a minimal schema-tagged
     shell so the batch record can be committed before a full bench run.
-
-    Compat shim: reports written by the pre-``repro-bench/2`` harness
-    mirrored the first run's key fields at the top level; those mirror
-    keys are stripped on rewrite and the schema tag is upgraded, so one
-    ``--record-bench`` pass migrates an old file in place.
     """
     bench_path = Path(bench_path)
     if bench_path.exists():
         data = json.loads(bench_path.read_text(encoding="utf-8"))
-        for legacy in _LEGACY_MIRROR_KEYS:
-            data.pop(legacy, None)
-        data["schema"] = BENCH_SCHEMA
     else:
         data = {"schema": BENCH_SCHEMA}
     record = dict(record)

@@ -23,7 +23,9 @@ concerns:
   job's config; ``checkpoint_dir`` gives every job a resumable
   :mod:`repro.core.checkpoint` snapshot path, and ``resume=True`` picks
   existing snapshots up, so an interrupted batch re-run skips finished
-  work bit-identically;
+  work bit-identically.  Per-job files are named after each job's display
+  name, so with ``checkpoint_dir`` or ``trace_dir`` set, two jobs of one
+  name are a ``ValueError`` before anything runs;
 - **streamed progress** — a ``progress(result, done, total)`` callback
   fires in the calling thread as each job completes;
 - **merged observability** — every worker runs under a real telemetry
@@ -238,6 +240,8 @@ def run_batch(
     module docstring for the worker/isolation/checkpoint semantics.
     """
     jobs = list(jobs)
+    if checkpoint_dir is not None or trace_dir is not None:
+        _check_unique_names(jobs)
     # Fail fast on a missing accelerator: resolving each distinct backend
     # once here, in the parent, beats rediscovering the same ImportError
     # job by job after the pool has spun up.
@@ -289,6 +293,22 @@ def run_batch(
         workers=n_workers,
         mp_context=context_name,
     )
+
+
+def _check_unique_names(jobs: Sequence[PlacementJob]) -> None:
+    """Per-job snapshot and trace files are named after the job's display
+    name; two jobs of one name would share them, and each could resume
+    from the other's snapshot."""
+    first: Dict[str, int] = {}
+    for i, job in enumerate(jobs):
+        name = job.display_name(i)
+        if name in first:
+            raise ValueError(
+                f"jobs {first[name]} and {i} are both named {name!r}, so "
+                "they would share per-job checkpoint and trace files; "
+                "pass name= to tell them apart"
+            )
+        first[name] = i
 
 
 def _run_on_service(

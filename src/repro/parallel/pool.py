@@ -14,7 +14,10 @@ guarantees:
 - **workers outlive jobs** — a worker pays interpreter and numpy/scipy
   start-up once, then serves jobs until it is stopped;
 - **a frozen worker is found** — one whose heartbeat goes stale for
-  ``heartbeat_timeout`` is killed as ``hung``.
+  ``heartbeat_timeout`` is killed as ``hung``;
+- **no worker outlives its parent** — a forked worker closes its copy of
+  the parent's end of its pipe, so a parent that dies without stopping
+  the pool (SIGKILL included) is an EOF, and the worker exits.
 
 Plumbing choices are all in service of kill-safety:
 
@@ -83,14 +86,21 @@ def resolve_mp_context(name: str = "auto") -> mp.context.BaseContext:
     return mp.get_context(name)
 
 
-def _pool_worker_main(slot: int, worker_id: int, conn, heartbeat, init) -> None:
+def _pool_worker_main(
+    slot: int, worker_id: int, conn, heartbeat, init, parent_end=None
+) -> None:
     """Worker process entry point (top-level: spawn/forkserver-picklable).
 
     Re-installs fault hooks (env specs first, then pool-level specs from
     *init*), starts the heartbeat thread, reports ready, then serves jobs
-    until told to stop or the parent disappears.
+    until told to stop or the parent disappears.  *parent_end* is the
+    parent's end of this worker's pipe, which a forked worker inherits:
+    it is closed first, so that the parent's death is an EOF on *conn*.
     """
     import threading
+
+    if parent_end is not None:
+        parent_end.close()
 
     from ..core import health
     from ..testing import faults
@@ -236,9 +246,13 @@ class WorkerPool:
             "heartbeat_interval": self.heartbeat_interval,
             "inject_faults": self.inject_faults,
         }
+        # Only a forked child holds a copy of the parent's end; under
+        # spawn or forkserver, passing it would send the child one.
+        parent_end = parent_conn if self.mp_context == "fork" else None
         process = self._ctx.Process(
             target=_pool_worker_main,
-            args=(handle.slot, worker_id, child_conn, heartbeat, init),
+            args=(handle.slot, worker_id, child_conn, heartbeat, init,
+                  parent_end),
             name=f"repro-worker-{handle.slot}-{worker_id}",
             daemon=True,
         )

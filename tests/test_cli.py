@@ -111,6 +111,35 @@ class TestCommands:
         assert np.array_equal(cli_p.y, want.y)
 
 
+class TestDesignArguments:
+    """Every design argument resolves as a job's source does."""
+
+    def test_bench_size_places_and_legalizes(self, capsys):
+        assert main(["place", "--circuit", "tiny", "--legalize"]) == 0
+        assert "final placement" in capsys.readouterr().out
+
+    def test_bench_size_stats(self, capsys):
+        assert main(["stats", "--circuit", "tiny"]) == 0
+        assert "circuit tiny" in capsys.readouterr().out
+
+    def test_bookshelf_netlist_places(self, tmp_path, capsys):
+        base = tmp_path / "bs" / "tiny"
+        assert main(["convert", "--circuit", "tiny",
+                     "--bookshelf", str(base)]) == 0
+        assert main(["place", "--netlist", str(base.with_suffix(".aux")),
+                     "--legalize"]) == 0
+        assert "final placement" in capsys.readouterr().out
+
+    def test_unknown_name_is_one_error_line(self, capsys):
+        assert main(["place", "--circuit", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: cannot resolve placement source 'nope'"
+        )
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestErrorHandling:
     def test_value_error_exits_nonzero_with_diagnostic(self, tmp_path, capsys):
         # A corrupt netlist file surfaces as a one-line diagnostic and

@@ -1,16 +1,11 @@
 """Property tests pinning the banded-parallel Abacus sweep to the serial
-sweep, and the reuse-context V-cycle to the from-scratch V-cycle.
+sweep.
 
-Both optimizations promise **bit identity**, not approximation:
-
-- ``VectorAbacusLegalizer(bands=N, threads=T)`` must produce
-  ``np.array_equal``-identical coordinates to the serial sweep for every
-  band and thread count, with and without obstacles, including degenerate
-  single-row regions (where banding collapses to serial);
-- a :class:`~repro.core.reuse.ReuseContext` shared across runs must
-  reproduce the V-cycle placement (and therefore its HPWL) exactly —
-  cached quadratic systems, force calculators and clusterings are pure
-  functions of the netlist and knobs.
+The banding promises **bit identity**, not approximation:
+``VectorAbacusLegalizer(bands=N, threads=T)`` must produce
+``np.array_equal``-identical coordinates to the serial sweep for every
+band and thread count, with and without obstacles, including degenerate
+single-row regions (where banding collapses to serial).
 """
 
 from __future__ import annotations
@@ -18,9 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import KraftwerkPlacer, PlacerConfig
-from repro.core.multilevel import MultilevelPlacer
-from repro.core.reuse import ReuseContext
 from repro.geometry import Rect
 from repro.legalize import VectorAbacusLegalizer
 from repro.legalize.vector import SERIAL_FALLBACK_CELLS
@@ -137,45 +129,3 @@ class TestBandedBitIdentity:
         ]
         for other in results[1:]:
             _assert_identical(results[0], other, "threads")
-
-
-class TestReuseContextBitIdentity:
-    @pytest.mark.parametrize("levels", [1, 2])
-    def test_vcycle_reuse_reproduces_hpwl_exactly(self, levels):
-        circ = generate_circuit(
-            GeneratorSpec(name="reuse", num_cells=600, num_rows=12, seed=2)
-        )
-        cfg = PlacerConfig(seed=2, multilevel_levels=levels)
-        fresh = MultilevelPlacer(
-            circ.netlist, circ.region, cfg, levels=levels
-        ).place()
-        reuse = ReuseContext()
-        first = MultilevelPlacer(
-            circ.netlist, circ.region, cfg, levels=levels, reuse=reuse
-        ).place()
-        second = MultilevelPlacer(
-            circ.netlist, circ.region, cfg, levels=levels, reuse=reuse
-        ).place()
-        # Warm-cache repeat: everything setup-related is a hit.
-        assert reuse.hits > 0
-        for run in (first, second):
-            assert np.array_equal(fresh.placement.x, run.placement.x)
-            assert np.array_equal(fresh.placement.y, run.placement.y)
-            assert run.hpwl_m == fresh.hpwl_m
-        assert first.total_iterations == fresh.total_iterations
-
-    def test_flat_reuse_is_bit_identical(self):
-        circ = generate_circuit(
-            GeneratorSpec(name="reuse-flat", num_cells=400, num_rows=8,
-                          seed=3)
-        )
-        cfg = PlacerConfig(seed=3)
-        fresh = KraftwerkPlacer(circ.netlist, circ.region, cfg).place()
-        reuse = ReuseContext()
-        KraftwerkPlacer(circ.netlist, circ.region, cfg, reuse=reuse).place()
-        warm = KraftwerkPlacer(
-            circ.netlist, circ.region, cfg, reuse=reuse
-        ).place()
-        assert reuse.hits >= 2  # system + force calculator on the repeat
-        assert np.array_equal(fresh.placement.x, warm.placement.x)
-        assert np.array_equal(fresh.placement.y, warm.placement.y)

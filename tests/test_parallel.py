@@ -10,6 +10,7 @@ on single-core CI boxes.
 import json
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -436,16 +437,12 @@ class TestBatchAggregates:
     def test_merge_batch_record(self, batch, tmp_path):
         result, _ = batch
         bench = tmp_path / "BENCH.json"
-        # A pre-repro-bench/2 report: top-level mirror keys (hpwl_m, …) are
-        # stripped by the compat shim, real content (runs) is preserved.
         bench.write_text(json.dumps({
-            "schema": "repro-bench/1", "hpwl_m": 1.0,
-            "runs": [{"size": "tiny"}],
+            "schema": "repro-bench/2", "runs": [{"size": "tiny"}],
         }))
         data = merge_batch_record(bench, result.summary())
         on_disk = json.loads(bench.read_text())
         assert on_disk["schema"] == "repro-bench/2"
-        assert "hpwl_m" not in on_disk  # legacy mirror stripped
         assert on_disk["runs"] == [{"size": "tiny"}]  # report preserved
         assert on_disk["batch"]["n_jobs"] == 3
         assert "jobs" not in on_disk["batch"]  # headline scalars only
@@ -540,6 +537,30 @@ class TestEnginePlumbing:
         )
         assert resumed.hpwls == full.hpwls
         assert [j.resumed_iteration for j in resumed.jobs] == [4, 4]
+
+    def test_duplicate_names_rejected_when_files_are_written(self, tmp_path):
+        # One source and seed, two configs: both are named "tiny-s0", so
+        # they would share a snapshot and each resume from the other's.
+        jobs = [
+            PlacementJob(source="tiny", seed=0, config={"K": k},
+                         legalize=False, max_iterations=4)
+            for k in (0.2, 1.0)
+        ]
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match=r"jobs 0 and 1 .*'tiny-s0'.*name="):
+            run_batch(jobs, workers=0, checkpoint_dir=ckpt)
+        with pytest.raises(ValueError, match="'tiny-s0'"):
+            run_batch(jobs, workers=0, trace_dir=tmp_path / "traces")
+        assert not ckpt.exists()  # rejected before anything ran
+        # Without per-job files the names clash harmlessly; named jobs
+        # get a file each.
+        assert all(j.ok for j in run_batch(jobs, workers=0).jobs)
+        named = [replace(job, name=f"tiny-K{job.config['K']:g}")
+                 for job in jobs]
+        run_batch(named, workers=0, checkpoint_dir=ckpt, checkpoint_every=2)
+        assert sorted(f.name for f in ckpt.iterdir()) == [
+            "tiny-K0.2.ckpt.npz", "tiny-K1.ckpt.npz"
+        ]
 
     def test_job_config_dict_normalizes(self):
         job = PlacementJob(source="tiny", seed=4,

@@ -14,8 +14,14 @@ every recovery path is exercised on every run, even on a one-core box.
 """
 
 import json
+import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +39,8 @@ from repro.service import (
     serve_jobs,
 )
 from repro.testing.faults import KILL_EXIT_CODE
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def tiny_job(seed=0, **kwargs):
@@ -219,6 +227,66 @@ class TestWorkerPool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods()
+        or not os.path.exists("/proc/self/stat"),
+        reason="needs fork and /proc",
+    )
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        # Two workers at least: a later fork also inherits the parent ends
+        # of the earlier workers' pipes, and must release them as it exits.
+        script = textwrap.dedent("""
+            import time
+            from repro.service import WorkerPool
+
+            pool = WorkerPool(2, mp_context="fork", heartbeat_interval=0.02)
+            pool.start()
+            deadline = time.monotonic() + 60
+            while len(pool.idle_handles()) < 2 and time.monotonic() < deadline:
+                pool.poll(0.05)
+            print(*(h.process.pid for h in pool.handles), flush=True)
+            time.sleep(600)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            text=True, cwd=tmp_path, env=env,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2, "the pool never reported ready"
+            parent.kill()
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(_running(pid) for pid in pids):
+                assert time.monotonic() < deadline, (
+                    f"workers outlived their parent: "
+                    f"{[pid for pid in pids if _running(pid)]}"
+                )
+                time.sleep(0.05)
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=30)
+            parent.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* names a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
 
 
 # ----------------------------------------------------------------------
