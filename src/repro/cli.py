@@ -332,11 +332,6 @@ def cmd_batch(args) -> int:
             encoding="utf-8",
         )
         print(f"wrote {args.out}")
-    if args.record_bench:
-        from .observability.bench import merge_batch_record
-
-        merge_batch_record(args.record_bench, summary)
-        print(f"recorded batch run in {args.record_bench}")
     if failed:
         from collections import Counter
 
@@ -802,9 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="compare_serial",
                          help="also run the batch serially and report the "
                               "measured speedup + HPWL identity check")
-    p_batch.add_argument("--record-bench", metavar="PATH", dest="record_bench",
-                         help="merge the batch record into this "
-                              "BENCH_kraftwerk.json")
     p_batch.set_defaults(func=cmd_batch)
 
     p_sweep = sub.add_parser(

@@ -27,8 +27,6 @@ _ARG_FIELDS = {
     "deadline": "deadline_seconds",
     "checkpoint": "checkpoint_path",
     "checkpoint_every": "checkpoint_every",
-    "density_bins": "density_bins",
-    "max_density_bins": "max_density_bins",
     "max_iterations": "max_iterations",
     "multilevel": "multilevel_levels",
     "multilevel_refine": "multilevel_refine_iterations",
@@ -55,13 +53,6 @@ class PlacerConfig:
         Run at least this many transformations before testing the stopping
         criterion (the criterion is trivially false right after the
         all-cells-at-center initialization).
-    stop_empty_square_cells:
-        Stop once no empty square larger than this multiple of the average
-        cell area exists (Section 4.2 uses 4.0).
-    stop_overflow_fraction:
-        Additional stop condition: the fraction of demand above 100 % bin
-        capacity must also fall below this value, so the iteration does not
-        stop while hole-free but still locally piled up.
     force_mode:
         How the constant force vector ``e`` of Eq. 3 evolves between
         transformations.
@@ -69,30 +60,13 @@ class PlacerConfig:
         * ``"hold"`` (default): ``e`` is recomputed each step as the *hold
           force* ``C p_cur + d`` that makes the current placement the exact
           equilibrium of the freshly assembled (re-linearized, re-weighted)
-          system, relaxed by ``hold_relaxation`` toward the quadratic
-          optimum, plus the new density kick.  Algebraically identical to
-          the paper's accumulated force when ``C`` is constant, but immune
-          to the equilibrium drift that re-linearization causes.
+          system, relaxed toward the quadratic optimum, plus the new
+          density kick.  Algebraically identical to the paper's
+          accumulated force when ``C`` is constant, but immune to the
+          equilibrium drift that re-linearization causes.
         * ``"accumulate"``: the paper-literal ``e <- e + f`` accumulation.
         * ``"replace"``: ``e <- f`` (no memory) — ablation only; the
           placement collapses back toward the quadratic optimum.
-    response_tether:
-        In ``"hold"`` mode, strength (relative to the mean matrix diagonal)
-        of the temporary spring tethering each cell to its current position
-        while the displacement response to the density kick is computed.
-        It localizes the response; without it the kick pours into near-rigid
-        collective modes.
-    spread_pin:
-        Strength (relative to the mean matrix diagonal) of the pseudo-spring
-        pinning each cell to its spread target during the wire-length
-        re-optimization solve.  Smaller values let the quadratic objective
-        pull harder (better wire length, more iterations).  The effective
-        pin is scaled by ``K / 0.2`` so the paper's fast mode (K = 1.0)
-        converges in roughly a third of the transformations at a modest
-        wire-length cost, as reported in Section 6.1.
-    stall_iterations:
-        Stop (unconverged) when the emptiness criterion has not improved for
-        this many transformations.
     linearize:
         Apply GORDIAN-L style net-weight linearization [14] so the quadratic
         solve approximates linear wire length.
@@ -103,38 +77,11 @@ class PlacerConfig:
     clique_threshold:
         Nets with more pins than this are expanded as stars (one auxiliary
         movable vertex) instead of cliques to keep the matrix sparse.
-    density_bins:
-        Grid resolution for the density map; ``None`` picks a resolution
-        where a bin is roughly one average cell.
-    max_density_bins:
-        Upper bound on bins per axis (keeps the FFT cheap on huge regions).
-    anchor_weight:
-        Tiny spring from every movable cell to the region center; regularizes
-        the system when a netlist has few or no fixed cells.  ``None`` picks
-        automatically (stronger when the netlist has no fixed cells).
-    clamp_to_region:
-        Clamp cell centers into the placement region after each solve.
     seed:
         Seed for the tiny symmetry-breaking jitter applied at initialization
         (all cells exactly on one point is a degenerate density pattern).
     verbose:
         Print one line per placement transformation.
-    health_checks:
-        Run the :mod:`~repro.core.health` guard each transformation:
-        density/field/force/solution arrays are checked for NaN/Inf and
-        force explosions, raising a structured
-        :class:`~repro.core.health.NumericalHealthError` instead of
-        silently iterating on garbage.  The guard only observes — healthy
-        runs are bit-identical with it on or off.
-    recovery:
-        Enable the CG recovery ladder (tighten tolerance → discard warm
-        start → direct sparse solve → anchored re-solve) when a solve
-        fails to converge or diverges.  Off, failed solves are used as-is
-        (the pre-guardrail behavior).
-    step_limit_factor:
-        Force-explosion threshold for the health guard: a solved position
-        farther than this multiple of the region half-perimeter from the
-        region center is declared an explosion even if finite.
     deadline_seconds:
         Wall-clock budget for :meth:`~repro.core.placer.KraftwerkPlacer.
         place`.  When exceeded, the run stops and returns the best
@@ -186,25 +133,12 @@ class PlacerConfig:
     K: float = STANDARD_K
     max_iterations: int = 120
     min_iterations: int = 5
-    stop_empty_square_cells: float = 4.0
-    stop_overflow_fraction: float = 0.45
     force_mode: str = "hold"
-    response_tether: float = 0.05
-    spread_pin: float = 0.15
-    kick_memory: float = 0.7
-    stall_iterations: int = 30
     linearize: bool = True
     net_model: str = "clique"
     clique_threshold: int = 20
-    density_bins: Optional[int] = None
-    max_density_bins: int = 256
-    anchor_weight: Optional[float] = None
-    clamp_to_region: bool = True
     seed: int = 2207
     verbose: bool = False
-    health_checks: bool = True
-    recovery: bool = True
-    step_limit_factor: float = 64.0
     deadline_seconds: Optional[float] = None
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 10
@@ -220,8 +154,6 @@ class PlacerConfig:
             raise ValueError(f"K must be positive, got {self.K}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.stop_empty_square_cells <= 0:
-            raise ValueError("stop_empty_square_cells must be positive")
         if self.clique_threshold < 2:
             raise ValueError("clique_threshold must be at least 2")
         if self.net_model not in ("clique", "b2b"):
@@ -233,14 +165,10 @@ class PlacerConfig:
                 f"force_mode must be 'hold', 'accumulate' or 'replace', "
                 f"got {self.force_mode!r}"
             )
-        if self.response_tether <= 0 or self.spread_pin <= 0:
-            raise ValueError("response_tether and spread_pin must be positive")
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError("deadline_seconds must be positive (or None)")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be at least 1")
-        if self.step_limit_factor <= 0:
-            raise ValueError("step_limit_factor must be positive")
         if self.multilevel_levels < 0:
             raise ValueError("multilevel_levels must be >= 0 (0 = flat)")
         if self.multilevel_refine_iterations < 1:

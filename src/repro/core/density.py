@@ -27,23 +27,20 @@ from ..netlist import Netlist, Placement
 from ..observability import NULL_TELEMETRY
 
 
-def density_grid(
-    region: PlacementRegion,
-    netlist: Netlist,
-    bins: Optional[int] = None,
-    max_bins: int = 256,
-) -> Grid:
+#: Upper bound on density bins per axis (keeps the FFT cheap on huge
+#: regions).
+MAX_DENSITY_BINS = 256
+
+
+def density_grid(region: PlacementRegion, netlist: Netlist) -> Grid:
     """Square-bin grid sized so one bin is roughly one average movable cell."""
     b = region.bounds
-    if bins is not None:
-        side = max(b.width, b.height) / bins
+    if netlist.num_movable:
+        side = float(np.sqrt(netlist.average_movable_area()))
     else:
-        if netlist.num_movable:
-            side = float(np.sqrt(netlist.average_movable_area()))
-        else:
-            side = min(b.width, b.height) / 16.0
-        side = max(side, max(b.width, b.height) / max_bins)
-        side = min(side, min(b.width, b.height) / 4.0)
+        side = min(b.width, b.height) / 16.0
+    side = max(side, max(b.width, b.height) / MAX_DENSITY_BINS)
+    side = min(side, min(b.width, b.height) / 4.0)
     return Grid.square_bins(b, side)
 
 
@@ -129,16 +126,12 @@ class DensityModel:
         netlist: Netlist,
         region: PlacementRegion,
         grid: Optional[Grid] = None,
-        bins: Optional[int] = None,
-        max_bins: int = 256,
         backend: Optional[Backend] = None,
     ):
         self.netlist = netlist
         self.region = region
         self.backend = backend if backend is not None else NUMPY
-        self.grid = grid if grid is not None else density_grid(
-            region, netlist, bins=bins, max_bins=max_bins
-        )
+        self.grid = grid if grid is not None else density_grid(region, netlist)
         # Split cells once: small ones are splatted, large ones rasterized.
         small = (netlist.widths <= self.grid.dx) & (netlist.heights <= self.grid.dy)
         self._small = np.flatnonzero(small)

@@ -47,8 +47,6 @@ class ForceCalculator:
         netlist: Netlist,
         region: PlacementRegion,
         density_model: Optional[DensityModel] = None,
-        bins: Optional[int] = None,
-        max_bins: int = 256,
         telemetry=NULL_TELEMETRY,
         backend: Optional[Backend] = None,
     ):
@@ -57,8 +55,7 @@ class ForceCalculator:
         self.telemetry = telemetry
         self.backend = backend if backend is not None else NUMPY
         self.density_model = density_model or DensityModel(
-            netlist, region, bins=bins, max_bins=max_bins,
-            backend=self.backend,
+            netlist, region, backend=self.backend
         )
         # One spectral solver per calculator: the grid is fixed, so the
         # spectral plans are computed exactly once for the placer's

@@ -31,6 +31,9 @@ import numpy as np
 
 #: Pipeline phases a health failure can be attributed to, in dataflow order.
 PHASES = ("density", "field", "force", "solve", "position")
+#: The placer's force-explosion threshold: a solved position farther than
+#: this multiple of the region half-perimeter from the region center.
+STEP_LIMIT_FACTOR = 64.0
 
 
 class NumericalHealthError(ArithmeticError):
@@ -101,17 +104,17 @@ class HealthGuard:
     """Per-transformation numerical checks for the placer's hot loop.
 
     The guard is pure observation: it never modifies an array, so enabling
-    it cannot change a healthy run.  ``step_limit`` bounds how far any cell
-    may legitimately sit from the region center after a solve (a multiple
-    of the region half-perimeter); beyond it the forces have "thrown cells
+    it cannot change a healthy run.  :data:`STEP_LIMIT_FACTOR` region
+    half-perimeters bound how far any cell may legitimately sit from the
+    region center after a solve; beyond that the forces have "thrown cells
     across the chip" and the transformation is declared exploded even when
     every coordinate is still finite.
     """
 
-    def __init__(self, region, step_limit_factor: float = 64.0, telemetry=None):
+    def __init__(self, region, telemetry=None):
         bounds = region.bounds
         self._cx, self._cy = bounds.center
-        self._reach = step_limit_factor * max(region.half_perimeter, 1e-12)
+        self._reach = STEP_LIMIT_FACTOR * max(region.half_perimeter, 1e-12)
         self._telemetry = telemetry
         self.checks = 0
 

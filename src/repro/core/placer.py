@@ -42,7 +42,7 @@ from .forces import CellForces, ForceCalculator
 from .health import HealthGuard, _FAULT_HOOKS
 from .linearization import linearization_factors
 from .quadratic import QuadraticSystem
-from .solver import conjugate_gradient, solve_with_recovery
+from .solver import solve_with_recovery
 
 #: Conjugate-gradient termination: the relative residual every system is
 #: finally solved to, and the iteration cap per solve.
@@ -52,6 +52,24 @@ CG_MAX_ITER = 1000
 #: :meth:`KraftwerkPlacer._cg_tolerance`): the residual the systems are
 #: solved to while the density is fully uneven.
 CG_TOL_LOOSE = 1e-5
+#: Stopping rule (Section 4.2): no empty square larger than this multiple
+#: of the average cell area ...
+STOP_EMPTY_SQUARE_CELLS = 4.0
+#: ... and at most this fraction of the movable area above 100 % bin
+#: capacity, so the iteration does not stop while hole-free but still
+#: locally piled up.
+STOP_OVERFLOW_FRACTION = 0.45
+#: A run stops unconverged once its best stop score is this many
+#: transformations old (and the run at least twice as long).
+STALL_ITERATIONS = 30
+#: Hold mode: share of the accumulated density force kept per
+#: transformation.
+KICK_MEMORY = 0.7
+#: Hold mode: the kick response's tether and the re-solve's spread pin,
+#: as multiples of the mean matrix diagonal.  A weaker pin lets the wire
+#: length pull harder, at the cost of more transformations.
+RESPONSE_TETHER = 0.05
+SPREAD_PIN = 0.15
 
 # Hook signatures: called before each transformation.
 NetWeightHook = Callable[[int, Placement], Optional[np.ndarray]]
@@ -107,9 +125,6 @@ class PlacementResult:
     history: List[IterationStats] = field(default_factory=list)
     forces: Tuple[np.ndarray, np.ndarray] = (np.zeros(0), np.zeros(0))
     seconds: float = 0.0
-    # Aggregate telemetry summary (span totals + metric-stream tails) when
-    # the placer ran with a real recorder; None under the no-op default.
-    telemetry: Optional[Dict] = None
     # True when the wall-clock deadline cut the run short; the placement
     # is then the best feasible iterate seen, not the last one.
     timed_out: bool = False
@@ -119,6 +134,14 @@ class PlacementResult:
     @property
     def hpwl_m(self) -> float:
         return hpwl_meters(self.placement)
+
+
+def _stop_score(stats: IterationStats) -> float:
+    """How far an iterate is from the stopping rule (``<= 1`` meets it)."""
+    return max(
+        stats.empty_square_ratio / STOP_EMPTY_SQUARE_CELLS,
+        stats.overflow_fraction / STOP_OVERFLOW_FRACTION,
+    )
 
 
 class KraftwerkPlacer:
@@ -149,12 +172,7 @@ class KraftwerkPlacer:
                 netlist, clique_threshold=self.config.clique_threshold
             )
         self.force_calc = ForceCalculator(
-            netlist,
-            region,
-            bins=self.config.density_bins,
-            max_bins=self.config.max_density_bins,
-            telemetry=self.telemetry,
-            backend=self.backend,
+            netlist, region, telemetry=self.telemetry, backend=self.backend
         )
         # Linearization span guard: roughly one cell width, so coincident
         # cells are not welded together by quasi-infinite 1/span weights.
@@ -170,9 +188,9 @@ class KraftwerkPlacer:
         # next transformation's density input.
         self._warm: Dict[str, np.ndarray] = {}
         self._demand_cache: Optional[Tuple[Placement, np.ndarray]] = None
-        # Health guard active during place() (None outside a run or when
-        # disabled) and the run's recovery-ladder escalation counter.
-        self._guard: Optional[HealthGuard] = None
+        # The health guard every transformation runs, and the current
+        # run's recovery-ladder escalation counter.
+        self._guard = HealthGuard(region, telemetry=self.telemetry)
         self._escalations = 0
 
     # ------------------------------------------------------------------
@@ -263,12 +281,7 @@ class KraftwerkPlacer:
         converged = False
         timed_out = False
         tel = self.telemetry
-        guard = (
-            HealthGuard(self.region, cfg.step_limit_factor, telemetry=tel)
-            if cfg.health_checks
-            else None
-        )
-        self._guard = guard
+        guard = self._guard
         self._escalations = 0
         deadline = cfg.deadline_seconds
         # HPWL and max-force are observability-only (see IterationStats):
@@ -325,10 +338,9 @@ class KraftwerkPlacer:
                         placement, K=cfg.K, extra_demand=extra,
                         stiffness=stiffness, demand=cached_demand,
                     )
-                    if guard is not None:
-                        guard.check_density(forces.density.density, m)
-                        guard.check_field(forces.field.fx, forces.field.fy, m)
-                        guard.check_forces(forces.fx, forces.fy, m)
+                    guard.check_density(forces.density.density, m)
+                    guard.check_field(forces.field.fx, forces.field.fy, m)
+                    guard.check_forces(forces.fx, forces.fy, m)
                     if cfg.force_mode == "accumulate":
                         e_x += forces.fx
                         e_y += forces.fy
@@ -338,8 +350,8 @@ class KraftwerkPlacer:
                         # gathering outward pressure until it separates, while
                         # resolved regions forget their old forces instead of
                         # oscillating.
-                        e_x = cfg.kick_memory * e_x + forces.fx
-                        e_y = cfg.kick_memory * e_y + forces.fy
+                        e_x = KICK_MEMORY * e_x + forces.fx
+                        e_y = KICK_MEMORY * e_y + forces.fy
                     else:  # "replace" has no memory
                         e_x = forces.fx.copy()
                         e_y = forces.fy.copy()
@@ -367,7 +379,7 @@ class KraftwerkPlacer:
                 )
                 history.append(stats)
                 if deadline is not None:
-                    best = self._track_best(best, stats, placement, e_x, e_y, cfg)
+                    best = self._track_best(best, stats, placement, e_x, e_y)
                 if cfg.checkpoint_path is not None and (
                     (m + 1) % cfg.checkpoint_every == 0 or m + 1 == limit
                 ):
@@ -410,27 +422,22 @@ class KraftwerkPlacer:
                     iteration_hook(stats, placement)
                 if (
                     m + 1 >= cfg.min_iterations
-                    and ratio <= cfg.stop_empty_square_cells
-                    and overflow <= cfg.stop_overflow_fraction
+                    and ratio <= STOP_EMPTY_SQUARE_CELLS
+                    and overflow <= STOP_OVERFLOW_FRACTION
                 ):
                     converged = True
                     break
                 # Stall detection: the criteria can sit just above threshold
                 # when springs and forces balance; stop rather than spin.
-                score = [
-                    max(s.empty_square_ratio / cfg.stop_empty_square_cells,
-                        s.overflow_fraction / max(cfg.stop_overflow_fraction, 1e-9))
-                    for s in history
-                ]
+                score = [_stop_score(s) for s in history]
                 if (
-                    len(history) >= 2 * cfg.stall_iterations
-                    and min(score[-cfg.stall_iterations:]) > min(score)
+                    len(history) >= 2 * STALL_ITERATIONS
+                    and min(score[-STALL_ITERATIONS:]) > min(score)
                 ):
                     break
 
         finally:
             place_span.__exit__(None, None, None)
-            self._guard = None
         if timed_out and best is not None:
             # Return the lowest-HPWL feasible iterate seen, never a worse
             # or non-finite one (the last iterate may be mid-kick).
@@ -444,7 +451,6 @@ class KraftwerkPlacer:
             history=history,
             forces=(e_x, e_y),
             seconds=time.perf_counter() - t_start,
-            telemetry=tel.summary() if tel.enabled else None,
             timed_out=timed_out,
             recovery_escalations=self._escalations,
         )
@@ -456,7 +462,6 @@ class KraftwerkPlacer:
         placement: Placement,
         e_x: np.ndarray,
         e_y: np.ndarray,
-        cfg: PlacerConfig,
     ) -> Optional[Dict]:
         """Best-so-far: prefer distribution feasibility, then lowest HPWL.
 
@@ -471,10 +476,7 @@ class KraftwerkPlacer:
             and np.isfinite(stats.hpwl_m)
         ):
             return best
-        score = max(
-            stats.empty_square_ratio / cfg.stop_empty_square_cells,
-            stats.overflow_fraction / max(cfg.stop_overflow_fraction, 1e-9),
-        )
+        score = _stop_score(stats)
         key = (max(score, 1.0), stats.hpwl_m)
         if best is not None and key >= (max(best["score"], 1.0), best["hpwl_m"]):
             return best
@@ -517,19 +519,13 @@ class KraftwerkPlacer:
         )
 
     def _cg(self, A, b, x0, tol, iteration: int):
-        """One linear solve, with the recovery ladder when enabled.
+        """One linear solve, through the recovery ladder.
 
         The happy path of :func:`solve_with_recovery` is exactly one
-        :func:`conjugate_gradient` call — same warm start, same tolerance,
-        bit-identical result — so enabling recovery costs nothing until a
-        solve actually fails.
+        :func:`~repro.core.solver.conjugate_gradient` call — same warm
+        start, same tolerance, bit-identical result — so the ladder costs
+        nothing until a solve actually fails.
         """
-        cfg = self.config
-        if not cfg.recovery:
-            return conjugate_gradient(
-                A, b, x0=x0, tol=tol, max_iter=CG_MAX_ITER,
-                telemetry=self.telemetry, backend=self.backend,
-            )
         result = solve_with_recovery(
             A, b, x0=x0, tol=tol, strict_tol=CG_TOL,
             max_iter=CG_MAX_ITER, telemetry=self.telemetry,
@@ -566,12 +562,10 @@ class KraftwerkPlacer:
                 rx = self._cg(system.Ax, system.bx + fx, x0, tol, iteration)
                 ry = self._cg(system.Ay, system.by + fy, y0, tol, iteration)
                 new_x, new_y, cg_iters = rx.x, ry.x, rx.iterations + ry.iterations
-        if self._guard is not None:
-            n = self.system.n_movable
-            self._guard.check_solution(new_x[:n], new_y[:n], iteration)
+        n = self.system.n_movable
+        self._guard.check_solution(new_x[:n], new_y[:n], iteration)
         new_placement = self.system.placement_from_vars(new_x, new_y, placement)
-        if cfg.clamp_to_region:
-            new_placement.clamp_to_region(self.region)
+        new_placement.clamp_to_region(self.region)
         return new_placement, cg_iters
 
     def _cg_tolerance(self, unevenness: float) -> float:
@@ -630,7 +624,7 @@ class KraftwerkPlacer:
             # between steps, so the old response is an excellent initial
             # iterate.
             diag_mean = float(system.Ax.diagonal().mean())
-            mu = cfg.response_tether * diag_mean
+            mu = RESPONSE_TETHER * diag_mean
             ru = self._cg(
                 system.shifted_x(mu), fx, self._warm.get("response_x"),
                 tol, iteration,
@@ -669,7 +663,7 @@ class KraftwerkPlacer:
         # netless) systems the anchor is the whole diagonal, and a weaker
         # pin would let it pull every step most of the way back to center.
         with tel.span("solve"):
-            pin = cfg.spread_pin * (cfg.K / STANDARD_K) * diag_mean
+            pin = SPREAD_PIN * (cfg.K / STANDARD_K) * diag_mean
             pin = max(pin, 10.0 * anchor)
             rx = self._cg(
                 system.shifted_x(pin), system.bx + pin * spread_x, spread_x,
@@ -686,8 +680,6 @@ class KraftwerkPlacer:
     # Internals
     # ------------------------------------------------------------------
     def _anchor_weight(self) -> float:
-        if self.config.anchor_weight is not None:
-            return self.config.anchor_weight
         # Without fixed cells the system is singular; anchor harder then.
         return 1e-3 if self.netlist.num_fixed == 0 else 1e-6
 

@@ -7,7 +7,7 @@ wall-clock and work counters to each.  This package provides:
 - :mod:`~repro.observability.spans` — hierarchical span timers with
   counters and a zero-overhead null implementation,
 - :mod:`~repro.observability.metrics` — per-iteration metric streams,
-- :mod:`~repro.observability.trace` — JSONL trace + JSON summary export,
+- :mod:`~repro.observability.trace` — JSONL trace export,
 - :mod:`~repro.observability.events` — the service lifecycle event log
   (JSONL stream + counters + latency percentiles),
 - :mod:`~repro.observability.bench` — the ``repro bench`` regression
@@ -41,8 +41,6 @@ from .trace import (
     metric_events,
     read_trace_jsonl,
     span_events,
-    telemetry_summary,
-    write_summary_json,
     write_trace_jsonl,
 )
 
@@ -77,14 +75,8 @@ class Telemetry:
         return list(self._streams.values())
 
     # -- export ---------------------------------------------------------
-    def summary(self) -> Dict:
-        return telemetry_summary(self)
-
     def write_trace(self, path) -> object:
         return write_trace_jsonl(path, self)
-
-    def write_summary(self, path) -> object:
-        return write_summary_json(path, self)
 
 
 class NullTelemetry:
@@ -105,9 +97,6 @@ class NullTelemetry:
 
     def streams(self) -> List[MetricStream]:
         return []
-
-    def summary(self) -> Dict:
-        return {"schema": TRACE_SCHEMA, "spans": {}, "streams": {}}
 
 
 #: Shared no-op instance used as the default ``telemetry=`` everywhere.
@@ -134,7 +123,5 @@ __all__ = [
     "metric_events",
     "read_trace_jsonl",
     "span_events",
-    "telemetry_summary",
-    "write_summary_json",
     "write_trace_jsonl",
 ]

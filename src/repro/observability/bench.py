@@ -384,39 +384,6 @@ def run_bench(
     return record
 
 
-def merge_batch_record(
-    bench_path: Union[str, Path], record: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Fold a batch-engine run record into the bench report JSON.
-
-    ``repro batch --record-bench BENCH_kraftwerk.json`` uses this to keep
-    the batch-vs-serial wall-clock picture next to the per-phase kernel
-    timings, in one regression file.  The record lands under a top-level
-    ``"batch"`` key (replacing any previous one); the rest of the report is
-    preserved, and a missing report file yields a minimal schema-tagged
-    shell so the batch record can be committed before a full bench run.
-    """
-    bench_path = Path(bench_path)
-    if bench_path.exists():
-        data = json.loads(bench_path.read_text(encoding="utf-8"))
-    else:
-        data = {"schema": BENCH_SCHEMA}
-    record = dict(record)
-    record.setdefault(
-        "generated_at", time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    )
-    # The full per-job trace lives in the run's own summary JSON; the
-    # bench report keeps the headline scalars only.
-    record.pop("jobs", None)
-    data["batch"] = record
-    if bench_path.parent != Path(""):
-        bench_path.parent.mkdir(parents=True, exist_ok=True)
-    bench_path.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return data
-
-
 def write_bench_report(
     sizes: Optional[Sequence[str]] = None,
     out_path: Union[str, Path] = "BENCH_kraftwerk.json",
@@ -451,15 +418,6 @@ def write_bench_report(
         "runs": runs,
     }
     out_path = Path(out_path)
-    if out_path.exists():
-        # A batch record merged via ``merge_batch_record`` survives report
-        # regeneration; everything else is rewritten from this sweep.
-        try:
-            previous = json.loads(out_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            previous = {}
-        if "batch" in previous:
-            report["batch"] = previous["batch"]
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(

@@ -111,16 +111,9 @@ class EventLog:
         self.close()
 
 
-#: Shared no-op-ish default: a real in-memory log without a file.  The
-#: service always has *some* log so counters/assertions never need guards.
-def new_event_log(path: Optional[Union[str, Path]] = None) -> EventLog:
-    return EventLog(path)
-
-
 __all__ = [
     "EVENT_SCHEMA",
     "EventLog",
     "latency_summary",
-    "new_event_log",
     "percentile",
 ]

@@ -1,13 +1,9 @@
-"""Trace export: JSONL event streams and JSON summaries.
+"""Trace export: one JSONL event stream per telemetry recorder.
 
-Two output forms, both plain text so they diff and grep well:
-
-* **JSONL trace** — one event per line.  Span events carry name, depth,
-  start offset, duration and counters; metric events carry the stream name
-  and the row.  This is the raw material for flame-graph style analysis.
-* **JSON summary** — aggregate seconds/counts per span name plus the final
-  row and row count of every metric stream.  This is what lands inside
-  ``BENCH_*.json`` and :class:`~repro.core.placer.PlacementResult`.
+One event per line, plain text so it diffs and greps well.  Span events
+carry name, depth, start offset, duration and counters; metric events
+carry the stream name and the row.  This is the raw material for
+flame-graph style analysis.
 
 The reader (:func:`read_trace_jsonl`) round-trips the writer's output and
 is what the tests rely on.
@@ -80,27 +76,3 @@ def read_trace_jsonl(path: PathLike) -> List[Dict[str, Any]]:
             if line:
                 events.append(json.loads(line))
     return events
-
-
-def telemetry_summary(telemetry) -> Dict[str, Any]:
-    """Aggregate summary dict: per-span totals + per-stream tails."""
-    summary: Dict[str, Any] = {
-        "schema": TRACE_SCHEMA,
-        "spans": telemetry.spans.totals(),
-    }
-    streams = {}
-    for stream in telemetry.streams():
-        streams[stream.name] = {"rows": len(stream), "last": stream.last}
-    summary["streams"] = streams
-    return summary
-
-
-def write_summary_json(path: PathLike, telemetry) -> Path:
-    """Write the aggregate summary (:func:`telemetry_summary`) as JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(telemetry_summary(telemetry), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path

@@ -14,7 +14,7 @@ guarantees:
 - **workers outlive jobs** — a worker pays interpreter and numpy/scipy
   start-up once, then serves jobs until it is stopped;
 - **a frozen worker is found** — one whose heartbeat goes stale for
-  ``heartbeat_timeout`` is killed as ``hung``;
+  :data:`HEARTBEAT_TIMEOUT_S` is killed as ``hung``;
 - **no worker outlives its parent** — a forked worker closes its copy of
   the parent's end of its pipe, so a parent that dies without stopping
   the pool (SIGKILL included) is an EOF, and the worker exits.
@@ -57,6 +57,15 @@ MSG_READY = "ready"
 MSG_STARTED = "started"
 MSG_DONE = "done"
 MSG_PROGRESS = "progress"
+
+#: A worker stamps its heartbeat this often.  One whose heartbeat is older
+#: than :data:`HEARTBEAT_TIMEOUT_S` is frozen and is killed as ``hung``;
+#: one still starting after :data:`START_TIMEOUT_S`, with a heartbeat as
+#: stale, is killed as ``start_timeout``.  Both timeouts are read at each
+#: check, so a test can patch them.
+HEARTBEAT_INTERVAL_S = 0.1
+HEARTBEAT_TIMEOUT_S = 5.0
+START_TIMEOUT_S = 30.0
 
 #: Worker slot lifecycle states.
 STARTING, IDLE, BUSY, DOWN, STOPPED = (
@@ -113,12 +122,11 @@ def _pool_worker_main(
         health.fire_hook("worker_start", worker_id)  # slow_start chaos
 
     stop_beating = threading.Event()
-    interval = float(init.get("heartbeat_interval", 0.1))
 
     def beat() -> None:
         while not stop_beating.is_set():
             heartbeat.value = time.monotonic()
-            stop_beating.wait(interval)
+            stop_beating.wait(HEARTBEAT_INTERVAL_S)
 
     threading.Thread(target=beat, daemon=True, name="heartbeat").start()
 
@@ -200,9 +208,6 @@ class WorkerPool:
         workers: int,
         *,
         mp_context: str = "auto",
-        heartbeat_interval: float = 0.1,
-        heartbeat_timeout: float = 5.0,
-        start_timeout: float = 30.0,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
         inject_faults: Tuple[Tuple[str, Dict[str, Any]], ...] = (),
@@ -212,9 +217,6 @@ class WorkerPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._ctx = resolve_mp_context(mp_context)
         self.mp_context = self._ctx.get_start_method()
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.start_timeout = start_timeout
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.inject_faults = tuple(inject_faults)
@@ -242,10 +244,7 @@ class WorkerPool:
         heartbeat = self._ctx.Value("d", time.monotonic())
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        init = {
-            "heartbeat_interval": self.heartbeat_interval,
-            "inject_faults": self.inject_faults,
-        }
+        init = {"inject_faults": self.inject_faults}
         # Only a forked child holds a copy of the parent's end; under
         # spawn or forkserver, passing it would send the child one.
         parent_end = parent_conn if self.mp_context == "fork" else None
@@ -443,11 +442,11 @@ class WorkerPool:
         deaths = []
         for handle in self.handles:
             if handle.state in (IDLE, BUSY):
-                if now - handle.heartbeat.value > self.heartbeat_timeout:
+                if now - handle.heartbeat.value > HEARTBEAT_TIMEOUT_S:
                     deaths.append(self.kill(handle, reason="hung"))
             elif handle.state == STARTING:
-                stale = now - handle.heartbeat.value > self.heartbeat_timeout
-                if now - handle.spawned_at > self.start_timeout and stale:
+                stale = now - handle.heartbeat.value > HEARTBEAT_TIMEOUT_S
+                if now - handle.spawned_at > START_TIMEOUT_S and stale:
                     deaths.append(self.kill(handle, reason="start_timeout"))
         return deaths
 

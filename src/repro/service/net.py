@@ -411,7 +411,13 @@ class PlacementServer:
         # broker callbacks also run under the supervisor's condition
         # variable, and holding a connection lock here would deadlock
         # against a concurrent progress publish.
-        ticket = self.service.submit(job)
+        try:
+            ticket = self.service.submit(job)
+        except Exception:
+            # A rejected spec leaves no subscription behind either.
+            if subscribe:
+                self.service.broker.unsubscribe(conn.subs.pop(job_id))
+            raise
         if ticket.admitted:
             conn.enqueue({
                 "type": "submitted", "job": ticket.job_id,

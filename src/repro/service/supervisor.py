@@ -119,9 +119,6 @@ class ServiceConfig:
     #: Directory for per-job checkpoint snapshots (enables migration).
     checkpoint_dir: Optional[Union[str, Path]] = None
     checkpoint_every: int = 5
-    heartbeat_interval: float = 0.1
-    heartbeat_timeout: float = 5.0
-    start_timeout: float = 30.0
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     #: Longest wait of the supervisor loop between housekeeping passes
@@ -146,7 +143,6 @@ class ServiceConfig:
             "checkpoint_dir": str(self.checkpoint_dir)
             if self.checkpoint_dir is not None else None,
             "checkpoint_every": self.checkpoint_every,
-            "heartbeat_timeout": self.heartbeat_timeout,
             "backoff_base_s": self.backoff_base_s,
             "backoff_cap_s": self.backoff_cap_s,
             "cache_bytes": self.cache_bytes,
@@ -188,9 +184,6 @@ class PlacementService:
         self.pool = WorkerPool(
             self.config.workers,
             mp_context=self.config.mp_context,
-            heartbeat_interval=self.config.heartbeat_interval,
-            heartbeat_timeout=self.config.heartbeat_timeout,
-            start_timeout=self.config.start_timeout,
             backoff_base_s=self.config.backoff_base_s,
             backoff_cap_s=self.config.backoff_cap_s,
             inject_faults=self.config.inject_faults,
@@ -327,8 +320,7 @@ class PlacementService:
         )
         cached_flow = self.cache.get(signature) if self.cache else None
         with self._cond:
-            self._seq += 1
-            seq = self._seq
+            seq = self._seq + 1
             if isinstance(job, ServiceJob):
                 spec = job if job_id is None else replace(job, job_id=job_id)
             else:
@@ -342,6 +334,10 @@ class PlacementService:
                 )
             if spec.job_id in self._records:
                 raise ValueError(f"duplicate job_id {spec.job_id!r}")
+            # A spec that fails validation raises here, before anything is
+            # registered: no record, subscription or sequence number.
+            prepared = self._prepared(spec)
+            self._seq = seq
             record = JobRecord(spec=spec, seq=seq, signature=signature)
             self._records[spec.job_id] = record
             self._order.append(spec.job_id)
@@ -386,7 +382,7 @@ class PlacementService:
                 )
                 self._job_terminal(record)
                 return SubmitResult(False, spec.job_id, decision.reason)
-            record.spec = self._prepared(spec)
+            record.spec = prepared
             if on_flow is not None:
                 self._flow_sinks[spec.job_id] = on_flow
             if resume:

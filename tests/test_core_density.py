@@ -5,6 +5,7 @@ import pytest
 
 from repro import NetlistBuilder, Placement, PlacementRegion
 from repro.core import DensityModel, density_grid, splat_bilinear
+from repro.core.density import MAX_DENSITY_BINS
 from repro.geometry import Grid, Rect
 
 
@@ -132,13 +133,8 @@ class TestDensityGrid:
         grid = density_grid(region, nl)
         assert 4.0 <= grid.dx <= 20.0
 
-    def test_explicit_bins(self, region):
-        nl = _netlist(5)
-        grid = density_grid(region, nl, bins=16)
-        assert max(grid.nx, grid.ny) == 16
-
     def test_max_bins_cap(self):
         region = PlacementRegion.standard_cell(10000.0, 10000.0, 10.0)
         nl = _netlist(4, size=2.0)
-        grid = density_grid(region, nl, max_bins=64)
-        assert grid.nx <= 64 and grid.ny <= 64
+        grid = density_grid(region, nl)
+        assert max(grid.nx, grid.ny) == MAX_DENSITY_BINS == 256

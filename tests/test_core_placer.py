@@ -34,10 +34,6 @@ class TestConfig:
             PlacerConfig(max_iterations=0)
         with pytest.raises(ValueError):
             PlacerConfig(force_mode="bogus")
-        with pytest.raises(ValueError):
-            PlacerConfig(spread_pin=0.0)
-        with pytest.raises(ValueError):
-            PlacerConfig(stop_empty_square_cells=0.0)
 
 
 class TestInitialPlacement:

@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.core import RECOVERY_RUNGS, solve_with_recovery
 from repro.core.health import (
+    STEP_LIMIT_FACTOR,
     HealthGuard,
     check_finite,
     clear_fault_hooks,
@@ -83,27 +84,16 @@ class TestHealthGuard:
         check_finite("x", np.arange(5.0), iteration=0, phase="solve")
 
     def test_solution_explosion_detected(self, tiny_circuit):
-        guard = HealthGuard(tiny_circuit.region, step_limit_factor=1.0)
+        guard = HealthGuard(tiny_circuit.region)
         reach = tiny_circuit.region.half_perimeter
         cx, cy = tiny_circuit.region.bounds.center
-        x = np.array([cx, cx + 10.0 * reach])
+        x = np.array([cx, cx + 2.0 * STEP_LIMIT_FACTOR * reach])
         y = np.array([cy, cy])
         with pytest.raises(NumericalHealthError) as err:
             guard.check_solution(x, y, iteration=7)
         assert err.value.phase == "position"
         assert err.value.iteration == 7
         assert err.value.stats["max_offset"] > err.value.stats["limit"]
-
-    def test_health_checks_can_be_disabled(self, tiny_circuit):
-        tel = Telemetry()
-        placer = KraftwerkPlacer(
-            tiny_circuit.netlist,
-            tiny_circuit.region,
-            PlacerConfig(health_checks=False),
-            telemetry=tel,
-        )
-        placer.place(max_iterations=2)
-        assert _counter_total(tel, "health_checks") == 0
 
 
 # ----------------------------------------------------------------------
@@ -142,15 +132,6 @@ class TestRecoveryLadder:
         with fail_cg(times=1, mode="stall"):
             result = placer.place(max_iterations=3)
         assert sum(s.recovery_escalations for s in result.history) >= 1
-
-    def test_recovery_can_be_disabled(self, tiny_circuit):
-        placer = KraftwerkPlacer(
-            tiny_circuit.netlist,
-            tiny_circuit.region,
-            PlacerConfig(recovery=False),
-        )
-        result = placer.place(max_iterations=3)
-        assert result.recovery_escalations == 0
 
 
 class TestSolveWithRecoveryUnit:

@@ -3,8 +3,6 @@ telemetry-threaded placer."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro import (
@@ -22,7 +20,6 @@ from repro.observability import (
     NullTelemetry,
     TRACE_SCHEMA,
     span_events,
-    telemetry_summary,
 )
 
 
@@ -146,17 +143,6 @@ class TestTraceRoundTrip:
     def test_span_events_empty_recorder(self):
         assert span_events(SpanRecorder()) == []
 
-    def test_summary_json_is_serializable(self, tmp_path):
-        tel = Telemetry()
-        with tel.span("place"):
-            pass
-        tel.stream("iterations").record(iteration=0)
-        path = tel.write_summary(tmp_path / "summary.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == TRACE_SCHEMA
-        assert "place" in loaded["spans"]
-        assert loaded["streams"]["iterations"]["rows"] == 1
-
 
 class TestPlacerIntegration:
     def test_placer_records_all_phases(self, tiny_circuit):
@@ -182,9 +168,6 @@ class TestPlacerIntegration:
         assert {"s_density", "s_poisson", "s_solve", "s_hold"} <= set(row)
         # Phase seconds attach to every IterationStats.
         assert all(s.phase_seconds.get("density", 0) > 0 for s in result.history)
-        # And the result carries the aggregate summary.
-        assert result.telemetry is not None
-        assert "density" in result.telemetry["spans"]
 
     def test_noop_recorder_leaves_result_untouched(self, tiny_circuit):
         placer = KraftwerkPlacer(
@@ -192,15 +175,11 @@ class TestPlacerIntegration:
         )
         assert placer.telemetry is NULL_TELEMETRY
         result = placer.place(max_iterations=3)
-        assert result.telemetry is None
         assert all(s.phase_seconds == {} for s in result.history)
 
     def test_null_telemetry_singleton_shape(self):
         tel = NullTelemetry()
         assert tel.streams() == []
-        assert tel.summary() == {
-            "schema": TRACE_SCHEMA, "spans": {}, "streams": {},
-        }
         assert len(tel.stream("whatever")) == 0
 
     def test_legalize_spans(self, tiny_circuit):

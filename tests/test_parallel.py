@@ -29,7 +29,6 @@ from repro import (
 from repro.api import region_for_netlist, resolve_source
 from repro.netlist import GeneratorSpec, generate_circuit, save_bookshelf, save_netlist
 from repro.observability import read_trace_jsonl
-from repro.observability.bench import merge_batch_record
 from repro.parallel import resolve_mp_context, resolve_workers
 from repro.testing.faults import KILL_EXIT_CODE
 
@@ -434,20 +433,6 @@ class TestBatchAggregates:
         clone = pickle.loads(pickle.dumps(result))
         assert clone.hpwls == result.hpwls
 
-    def test_merge_batch_record(self, batch, tmp_path):
-        result, _ = batch
-        bench = tmp_path / "BENCH.json"
-        bench.write_text(json.dumps({
-            "schema": "repro-bench/2", "runs": [{"size": "tiny"}],
-        }))
-        data = merge_batch_record(bench, result.summary())
-        on_disk = json.loads(bench.read_text())
-        assert on_disk["schema"] == "repro-bench/2"
-        assert on_disk["runs"] == [{"size": "tiny"}]  # report preserved
-        assert on_disk["batch"]["n_jobs"] == 3
-        assert "jobs" not in on_disk["batch"]  # headline scalars only
-        assert data == on_disk
-
 
 # ----------------------------------------------------------------------
 # Client.local().map: one source over seeds, many sources, prebuilt jobs
@@ -600,17 +585,16 @@ class TestBatchCLI:
     def test_batch_compare_serial_identical(self, tmp_path, capsys):
         from repro.cli import main
 
-        bench = tmp_path / "bench.json"
+        out = tmp_path / "batch.json"
         code = main([
             "batch", "--circuit", "tiny", "--jobs", "2", "--workers", "2",
-            "--max-iterations", "6", "--compare-serial",
-            "--record-bench", str(bench),
+            "--max-iterations", "6", "--compare-serial", "--out", str(out),
         ])
         assert code == 0
         assert "bit-identical" in capsys.readouterr().out
-        record = json.loads(bench.read_text())["batch"]
-        assert record["hpwls_identical_to_serial"] is True
-        assert "measured_speedup" in record
+        summary = json.loads(out.read_text())
+        assert summary["hpwls_identical_to_serial"] is True
+        assert "measured_speedup" in summary
 
     def test_sweep_smoke(self, tmp_path, capsys):
         from repro.cli import main

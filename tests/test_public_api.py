@@ -181,3 +181,60 @@ class TestFacadeStability:
         assert {"job_id", "admitted", "shed_reason", "cached"} <= set(
             sig.parameters
         )
+
+
+#: Every settable value has a caller that needs a value other than its
+#: default (a module, a bench, an example, CI, or a test driving other
+#: behaviour).  Adding a knob is a deliberate edit of these lists.
+PLACER_CONFIG_FIELDS = [
+    "K", "max_iterations", "min_iterations", "force_mode", "linearize",
+    "net_model", "clique_threshold", "seed", "verbose", "deadline_seconds",
+    "checkpoint_path", "checkpoint_every", "multilevel_levels",
+    "multilevel_refine_iterations", "backend", "legalize_bands",
+    "legalize_threads", "improver_min_gain",
+]
+SERVICE_CONFIG_FIELDS = [
+    "workers", "mp_context", "job_timeout_seconds", "retry",
+    "max_queue_depth", "tenant_quota", "checkpoint_dir", "checkpoint_every",
+    "backoff_base_s", "backoff_cap_s", "tick_seconds", "trace_dir",
+    "inject_faults", "cache_bytes",
+]
+#: Config keys that became constants (see docs/API.md).
+REMOVED_PLACER_KEYS = [
+    "stop_empty_square_cells", "stop_overflow_fraction", "response_tether",
+    "spread_pin", "kick_memory", "stall_iterations", "density_bins",
+    "max_density_bins", "anchor_weight", "clamp_to_region", "health_checks",
+    "recovery", "step_limit_factor",
+]
+
+
+class TestKnobCensus:
+    def test_placer_config_fields(self):
+        from dataclasses import fields
+
+        from repro import PlacerConfig
+
+        assert [f.name for f in fields(PlacerConfig)] == PLACER_CONFIG_FIELDS
+
+    def test_service_config_fields(self):
+        from dataclasses import fields
+
+        from repro.service import ServiceConfig
+
+        assert [f.name for f in fields(ServiceConfig)] == SERVICE_CONFIG_FIELDS
+
+    def test_worker_pool_parameters(self):
+        from repro.service import WorkerPool
+
+        assert list(inspect.signature(WorkerPool).parameters) == [
+            "workers", "mp_context", "backoff_base_s", "backoff_cap_s",
+            "inject_faults", "events",
+        ]
+
+    @pytest.mark.parametrize("key", REMOVED_PLACER_KEYS)
+    def test_removed_placer_key_rejected(self, key):
+        from repro import PlacerConfig
+
+        with pytest.raises(ValueError, match="unknown PlacerConfig keys") as err:
+            PlacerConfig.from_dict({key: 1})
+        assert repr(key) in str(err.value)

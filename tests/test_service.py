@@ -179,7 +179,7 @@ class TestLatencyStats:
 # ----------------------------------------------------------------------
 class TestWorkerPool:
     def test_workers_report_ready_and_stop(self):
-        pool = WorkerPool(2, heartbeat_interval=0.02)
+        pool = WorkerPool(2)
         pool.start()
         try:
             deadline = time.monotonic() + 30
@@ -194,8 +194,7 @@ class TestWorkerPool:
 
     def test_death_is_reaped_and_respawned_with_backoff(self):
         events = EventLog()
-        pool = WorkerPool(1, heartbeat_interval=0.02,
-                          backoff_base_s=0.01, backoff_cap_s=0.05,
+        pool = WorkerPool(1, backoff_base_s=0.01, backoff_cap_s=0.05,
                           events=events)
         pool.start()
         try:
@@ -228,6 +227,40 @@ class TestWorkerPool:
         with pytest.raises(ValueError):
             WorkerPool(0)
 
+    def test_worker_stuck_starting_is_killed_and_respawned(
+        self, tmp_path, monkeypatch
+    ):
+        # The first worker sleeps before its heartbeat thread starts; the
+        # respawned one finds the once-file and starts at once.
+        from repro.parallel import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "START_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(pool_module, "HEARTBEAT_TIMEOUT_S", 0.3)
+        pool = WorkerPool(
+            1, backoff_base_s=0.01, backoff_cap_s=0.05,
+            inject_faults=(("slow_start", {
+                "seconds": 30.0, "once_path": str(tmp_path / "once"),
+            }),),
+        )
+        pool.start()
+        try:
+            deaths = []
+            deadline = time.monotonic() + 30
+            while not deaths:
+                pool.poll(0.02)
+                deaths = pool.check_health(time.monotonic())
+                assert time.monotonic() < deadline, "never killed"
+            assert [d.reason for d in deaths] == ["start_timeout"]
+            monkeypatch.undo()
+            deadline = time.monotonic() + 30
+            while not pool.idle_handles():
+                pool.maybe_respawn(time.monotonic())
+                pool.poll(0.05)
+                assert time.monotonic() < deadline, "never respawned"
+            assert pool.restarts == 1
+        finally:
+            pool.stop()
+
     @pytest.mark.skipif(
         "fork" not in mp.get_all_start_methods()
         or not os.path.exists("/proc/self/stat"),
@@ -240,7 +273,7 @@ class TestWorkerPool:
             import time
             from repro.service import WorkerPool
 
-            pool = WorkerPool(2, mp_context="fork", heartbeat_interval=0.02)
+            pool = WorkerPool(2, mp_context="fork")
             pool.start()
             deadline = time.monotonic() + 60
             while len(pool.idle_handles()) < 2 and time.monotonic() < deadline:
@@ -327,6 +360,28 @@ class TestServiceHappyPath:
             with pytest.raises(ValueError, match="duplicate job_id"):
                 svc.submit(tiny_job(), job_id="same")
             svc.drain(timeout=60)
+
+    @pytest.mark.parametrize("source, config, cache_bytes", [
+        # With the cache off, nothing validates the config ahead of submit.
+        ("tiny", {"K": -1.0}, 0),
+        # The cache's signature cannot resolve "nope", so it skips the
+        # config.
+        ("nope", {"no_such_knob": 1}, 256 * 1024 * 1024),
+    ])
+    def test_rejected_submit_leaves_no_record(
+        self, source, config, cache_bytes
+    ):
+        events = []
+        with PlacementService(service_config(cache_bytes=cache_bytes)) as svc:
+            with pytest.raises(ValueError):
+                svc.submit(PlacementJob(source=source, config=config),
+                           job_id="bad", progress=events.append)
+            assert svc.report()["n_submitted"] == 0
+            assert not svc.broker.has("bad")
+            t0 = time.monotonic()
+            assert svc.drain(timeout=5) == []
+            assert time.monotonic() - t0 < 5
+        assert events == []
 
     def test_unpicklable_netlist_is_rejected_and_service_lives_on(self):
         """A netlist whose names its canonical text cannot carry cannot
@@ -470,6 +525,50 @@ class TestServiceChaos:
         assert [a.outcome for a in record.attempts] == ["numerical"] * 2
         assert report["failure_classes"] == {"numerical": 1}
         assert report["retries"] == 1
+
+    def test_frozen_worker_is_killed_as_hung_and_its_job_retried(
+        self, tmp_path, monkeypatch
+    ):
+        # The job hangs (once) inside its worker, whose heartbeat stays
+        # fresh; only stopping the whole process makes it stale.  The
+        # once-file marks the hang: the job is running then, and its retry
+        # will not hang.
+        from repro.parallel import pool as pool_module
+
+        expected = serial_hpwl(8)
+        job = tiny_job(
+            8,
+            inject_faults=(("hang_worker", {
+                "at_iteration": 1, "seconds": 120.0,
+                "once_path": str(tmp_path / "once"),
+            }),),
+        )
+        # Five beats of the pool's HEARTBEAT_INTERVAL_S (0.1 s).
+        monkeypatch.setattr(pool_module, "HEARTBEAT_TIMEOUT_S", 0.5)
+        pid = None
+        try:
+            with PlacementService(service_config()) as svc:
+                svc.submit(job, job_id="frozen")
+                deadline = time.monotonic() + 60
+                while not (tmp_path / "once").exists():
+                    time.sleep(0.01)
+                    assert time.monotonic() < deadline, "never hung"
+                pid = svc.pool.handles[0].process.pid
+                os.kill(pid, signal.SIGSTOP)
+                while not svc.events.count("worker_death"):
+                    time.sleep(0.01)
+                    assert time.monotonic() < deadline, "never killed"
+                monkeypatch.undo()
+                record = svc.wait("frozen", timeout=120)
+                deaths = svc.events.of_type("worker_death")
+        finally:
+            if pid is not None and _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        assert [d["reason"] for d in deaths] == ["hung"]
+        assert record.state == JobState.DONE
+        assert record.attempts[0].outcome == "worker_death"
+        assert record.attempts[0].error == "worker 0 hung (exit -9)"
+        assert record.result.final_hpwl_m == expected
 
     def test_workers_that_cannot_start_fail_queued_jobs(self, monkeypatch):
         """Workers that die before reporting ready are respawned a few

@@ -401,6 +401,17 @@ class TestSubmitRejects:
         assert "line 3: cell 'a' has non-finite power" in reply["error"]
         assert server.service.report()["n_submitted"] == 0
 
+    def test_bad_config_leaves_no_record(self, server):
+        with Client.connect(*server.address, token="knob") as client:
+            before = client.report()["n_submitted"]
+            with pytest.raises(WireError, match="unknown PlacerConfig keys"):
+                client.submit("nope", config={"no_such_knob": 1},
+                              job_id="knob-bad", subscribe=True)
+            assert client.report()["n_submitted"] == before
+            assert not server.service.broker.has("knob-bad")
+            record = wire_submit(client, seed=9).result(timeout=120.0)
+        assert record.state.value == "done"
+
 
 # ----------------------------------------------------------------------
 # Submit / result round trip
