@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro import KraftwerkPlacer, Telemetry, make_circuit
+from repro import KraftwerkPlacer, make_circuit
 from repro.core import MultilevelPlacer
 from repro.evaluation import compare_placements, occupancy_map, summarize_placement
 from repro.geometry import Grid
@@ -26,16 +26,19 @@ def main() -> None:
     out = Path("out")
     out.mkdir(exist_ok=True)
 
-    # Per-iteration HPWL is an observability statistic, computed only when
-    # someone is watching — a real telemetry recorder opts the run in, so
-    # the convergence curves below have data.
+    # Per-iteration HPWL is a diagnostic the placer computes only when
+    # something reads it: these iteration hooks collect the convergence
+    # curves (the multilevel hook sees the finest-level refinement).
+    flat_curve, refine_curve = [], []
     t0 = time.time()
-    flat = KraftwerkPlacer(netlist, region, telemetry=Telemetry()).place()
+    flat = KraftwerkPlacer(netlist, region).place(
+        iteration_hook=lambda stats, _: flat_curve.append(stats.hpwl_m)
+    )
     t_flat = time.time() - t0
     t0 = time.time()
-    multi = MultilevelPlacer(
-        netlist, region, levels=2, telemetry=Telemetry()
-    ).place()
+    multi = MultilevelPlacer(netlist, region, levels=2).place(
+        iteration_hook=lambda stats, _: refine_curve.append(stats.hpwl_m)
+    )
     t_multi = time.time() - t0
 
     print(f"flat       : {flat.hpwl_m:.4f} m in {t_flat:.1f}s "
@@ -52,7 +55,6 @@ def main() -> None:
           f"longest path {summary.max_delay_ns:.2f} ns")
 
     # Convergence sparkline + SVG artifacts.
-    flat_curve = [s.hpwl_m for s in flat.history]
     print(f"flat hpwl per iteration: {sparkline(flat_curve)}")
 
     placement_svg(multi.placement, region, out / f"{name}_placement.svg")
@@ -61,7 +63,7 @@ def main() -> None:
     heatmap_svg(grid, density, out / f"{name}_density.svg")
     curve_svg(
         [("flat hpwl [m]", flat_curve),
-         ("refine hpwl [m]", [s.hpwl_m for s in multi.refine_result.history])],
+         ("refine hpwl [m]", refine_curve)],
         out / f"{name}_convergence.svg",
     )
     print(f"wrote {out}/{name}_placement.svg, _density.svg, _convergence.svg")

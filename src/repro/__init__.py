@@ -29,8 +29,8 @@ Sub-packages:
 - :mod:`repro.eco` — incremental (ECO) placement.
 - :mod:`repro.floorplan` — mixed block/cell flow.
 - :mod:`repro.evaluation` — wire length, overlap and report helpers.
-- :mod:`repro.observability` — span timers, metric streams, trace export
-  and the ``repro bench`` regression harness.
+- :mod:`repro.observability` — span timers, trace export and the
+  ``repro bench`` regression harness.
 - :mod:`repro.service` — the fault-tolerant placement service: supervised
   worker pool, retry/backoff, checkpoint migration, admission control,
   the ``repro-wire/1`` TCP front end and the result cache.

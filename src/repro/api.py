@@ -297,12 +297,12 @@ def place(
     This is the one place the library chains the two stages: ``repro
     place``, ``repro bench`` and every batch and service job run it.
     *telemetry* records the ``setup`` span (one per V-cycle level), the
-    placer's spans and streams, and the ``legalize`` span.
+    placer's spans, and the ``legalize`` span.
     *iteration_hook* — ``hook(stats, placement)`` called once per placer
     transformation (the streaming-progress bridge); passing one opens the
-    placer's observer gate.  So does an enabled *telemetry*, a verbose
-    config or a deadline; only with none of the four are the
-    per-iteration stats skipped.
+    placer's observer gate.  So does a verbose config or a deadline; with
+    none of the three the per-iteration HPWL and max-force stats are
+    skipped (NaN in the history), whatever *telemetry* is passed.
 
     The call is deterministic: the same source, config and seed produce a
     bit-identical placement in any process; *iteration_hook* observes but
@@ -564,25 +564,23 @@ class Client:
         """Submit one job; returns a :class:`JobHandle` immediately.
 
         *source* is anything :func:`resolve_source` accepts, or a prebuilt
-        :class:`~repro.parallel.PlacementJob`/:class:`~repro.service.jobs
-        .ServiceJob` (then the per-job keywords here are ignored in favor
-        of the spec's own).  ``subscribe=True`` registers for the progress
-        stream *before* the job can dispatch, so :meth:`JobHandle.stream`
-        sees every iteration; without it the worker sends no progress
-        frames (it still computes the per-iteration stats: its telemetry
-        opens the placer's observer gate, ROADMAP item 6).  A shed submit
-        returns a handle with ``admitted=False`` and the structured
-        ``shed_reason``.
+        :class:`~repro.parallel.PlacementJob` (then the placement keywords
+        here are ignored in favor of the job's own) or
+        :class:`~repro.service.jobs.ServiceJob` (then every keyword but
+        *subscribe* is).  Both transports submit the same ``ServiceJob``.
+        ``subscribe=True`` registers for the progress stream *before* the
+        job can dispatch, so :meth:`JobHandle.stream` sees every
+        iteration; without it the worker sends no progress frames and
+        skips the per-iteration HPWL and max-force stats (unless the job's
+        config is verbose or has a deadline).  A shed submit returns a
+        handle with ``admitted=False`` and the structured ``shed_reason``.
         """
         from .parallel import PlacementJob
         from .service.jobs import ServiceJob
 
-        if isinstance(source, ServiceJob):
-            service_job: Any = source
-        elif isinstance(source, PlacementJob):
-            service_job = source
-        else:
-            service_job = PlacementJob(
+        job = source
+        if not isinstance(job, (ServiceJob, PlacementJob)):
+            job = PlacementJob(
                 source=source,
                 seed=seed,
                 config=_config_dict(config),
@@ -592,24 +590,21 @@ class Client:
                 scale=scale,
                 utilization=utilization,
             )
-        if self._wire is not None:
-            return self._wire.submit_job(
-                self,
-                service_job,
-                job_id=job_id,
+        if not isinstance(job, ServiceJob):
+            # An empty id is assigned by the service (or the server).
+            job = ServiceJob(
+                job=job,
+                job_id=job_id or "",
                 priority=priority,
+                tenant=tenant,
                 timeout_seconds=timeout_seconds,
-                subscribe=subscribe,
+                retry=retry,
             )
+        if self._wire is not None:
+            return self._wire.submit_job(self, job, subscribe=subscribe)
         events = _queue.Queue() if subscribe else None
         ticket = self.service.submit(
-            service_job,
-            job_id=job_id,
-            priority=priority,
-            tenant=tenant,
-            timeout_seconds=timeout_seconds,
-            retry=retry,
-            progress=events.put if events is not None else None,
+            job, progress=events.put if events is not None else None
         )
         return JobHandle(
             self,

@@ -95,9 +95,6 @@ class Backend:
     def sum(self, a) -> float:
         raise NotImplementedError
 
-    def amax(self, a) -> float:
-        raise NotImplementedError
-
     def dot(self, a, b) -> float:
         raise NotImplementedError
 

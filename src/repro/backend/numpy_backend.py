@@ -65,9 +65,6 @@ class NumpyBackend(Backend):
     def sum(self, a):
         return float(a.sum())
 
-    def amax(self, a):
-        return float(a.max())
-
     def dot(self, a, b):
         return float(np.dot(a, b))
 

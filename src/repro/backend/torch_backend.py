@@ -80,9 +80,6 @@ class TorchBackend(Backend):
     def sum(self, a):
         return float(a.sum())
 
-    def amax(self, a):
-        return float(a.max())
-
     def dot(self, a, b):
         return float(self.torch.dot(a, b))
 

@@ -88,7 +88,7 @@ def _add_design_args(parser: argparse.ArgumentParser) -> None:
 def _add_placer_args(
     parser: argparse.ArgumentParser, checkpointing: bool = True
 ) -> None:
-    """Placer knobs shared by place/batch/sweep.
+    """Placer knobs shared by place and batch.
 
     Every flag maps onto one :class:`PlacerConfig` field via
     :meth:`PlacerConfig.from_args`, so all subcommands serialize config
@@ -103,8 +103,6 @@ def _add_placer_args(
                         help="array backend for the field/solve hot path "
                              "(default numpy; torch needs the optional "
                              "dependency installed)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="placer jitter seed (default: config default)")
     parser.add_argument("--max-iterations", type=int, default=None,
                         dest="max_iterations", metavar="N",
                         help="cap on placement transformations")
@@ -753,6 +751,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_place = sub.add_parser("place", help="run global placement")
     _add_design_args(p_place)
     _add_placer_args(p_place)
+    # A batch takes each job's seed from --seeds or --jobs instead.
+    p_place.add_argument("--seed", type=int, default=None,
+                         help="placer jitter seed (default: config default)")
     p_place.add_argument("--legalize", action="store_true",
                          help="run final placement (Abacus + improvement)")
     p_place.add_argument("--out", help="basepath for .netlist/.placement output")
@@ -763,8 +764,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "fixing them")
     p_place.set_defaults(func=cmd_place)
 
+    # No prefix matching: ``--seed`` would otherwise be read as ``--seeds``.
     p_batch = sub.add_parser(
-        "batch", help="run many jobs of one design over the batch engine"
+        "batch", help="run many jobs of one design over the batch engine",
+        allow_abbrev=False,
     )
     _add_design_args(p_batch)
     _add_placer_args(p_batch, checkpointing=False)

@@ -120,7 +120,7 @@ class HealthGuard:
 
     def _count(self) -> None:
         self.checks += 1
-        if self._telemetry is not None and self._telemetry.enabled:
+        if self._telemetry is not None:
             self._telemetry.add("health_checks", 1)
 
     def check_density(self, density: np.ndarray, iteration: int) -> None:
@@ -179,8 +179,6 @@ class HealthGuard:
 #:   corrupted-snapshot scenarios can be injected deterministically.
 #: - ``"worker_start"``: hook(worker_id: int) -> None — called once as a
 #:   pool worker starts (e.g. to simulate a slow cold start).
-#: - ``"worker_job"``: hook(worker_id: int, token: str) -> None — called
-#:   in a pool worker immediately before each job it executes.
 _FAULT_HOOKS: Dict[str, Callable] = {}
 
 

@@ -148,7 +148,6 @@ class MultilevelPlacer:
                         )
                     span.add("cells", clustering.coarse.num_movable)
                     span.add("iterations", result.iterations)
-                    span.add("hpwl_m", result.hpwl_m)
 
         with telemetry.span("level-0") as span:
             with telemetry.span("setup"):
@@ -166,7 +165,6 @@ class MultilevelPlacer:
             )
             span.add("cells", self.netlist.num_movable)
             span.add("iterations", refine.iterations)
-            span.add("hpwl_m", refine.hpwl_m)
         return MultilevelResult(
             placement=refine.placement,
             coarse_results=coarse_results,

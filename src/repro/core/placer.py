@@ -89,10 +89,11 @@ class IterationStats:
     iteration: int
     # HPWL and strongest sampled force are *observability* quantities: the
     # iteration itself never consumes them, so they are computed only when
-    # someone is watching (telemetry sink attached, verbose, an
-    # iteration_hook, or a deadline that needs best-so-far tracking) and
-    # are NaN otherwise.  The final result's HPWL is always available on
-    # demand through :attr:`PlacementResult.hpwl_m`.
+    # someone reads them (verbose, an iteration_hook, or a deadline that
+    # needs best-so-far tracking) and are NaN otherwise.  A telemetry
+    # recorder alone does not count: it records spans, not these columns.
+    # The final result's HPWL is always available on demand through
+    # :attr:`PlacementResult.hpwl_m`.
     hpwl_m: float
     empty_square_ratio: float  # largest empty square area / avg cell area
     overflow_fraction: float  # demand above bin capacity / movable area
@@ -100,9 +101,6 @@ class IterationStats:
     force_scale: float
     cg_iterations: int
     seconds: float
-    # Wall-clock per phase (density/poisson/sample/assemble/solve/stats),
-    # filled only when a real telemetry recorder is attached; {} otherwise.
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
     # Recovery-ladder rungs taken by this transformation's solves (0 on a
     # healthy transformation).
     recovery_escalations: int = 0
@@ -255,7 +253,13 @@ class KraftwerkPlacer:
             e_x = np.asarray(ckpt.e_x, dtype=np.float64).copy()
             e_y = np.asarray(ckpt.e_y, dtype=np.float64).copy()
             self._warm = {k: v.copy() for k, v in ckpt.warm.items()}
-            history = [IterationStats(**h) for h in ckpt.history]
+            # Snapshots from older versions may carry history columns
+            # that IterationStats no longer has (``phase_seconds``).
+            known = IterationStats.__dataclass_fields__
+            history = [
+                IterationStats(**{k: v for k, v in h.items() if k in known})
+                for h in ckpt.history
+            ]
             best = dict(ckpt.best) if ckpt.best is not None else None
             start_iter = ckpt.iteration
             prior_seconds = ckpt.elapsed_seconds
@@ -285,13 +289,10 @@ class KraftwerkPlacer:
         self._escalations = 0
         deadline = cfg.deadline_seconds
         # HPWL and max-force are observability-only (see IterationStats):
-        # skip them when nobody is watching.  A deadline counts as watching
+        # skip them when nobody reads them.  A deadline counts as reading
         # because best-so-far tracking ranks iterates by HPWL.
         observe = (
-            tel.enabled
-            or cfg.verbose
-            or iteration_hook is not None
-            or deadline is not None
+            cfg.verbose or iteration_hook is not None or deadline is not None
         )
         place_span = tel.span("place")
         place_span.__enter__()
@@ -311,7 +312,7 @@ class KraftwerkPlacer:
                     break
                 t0 = time.perf_counter()
                 escalations_before = self._escalations
-                with tel.span("iteration") as it_span:
+                with tel.span("iteration"):
                     weights = (
                         net_weight_hook(m, placement) if net_weight_hook else None
                     )
@@ -374,7 +375,6 @@ class KraftwerkPlacer:
                     force_scale=forces.scale,
                     cg_iterations=cg_iters,
                     seconds=time.perf_counter() - t0,
-                    phase_seconds=it_span.child_seconds(),
                     recovery_escalations=self._escalations - escalations_before,
                 )
                 history.append(stats)
@@ -399,18 +399,6 @@ class KraftwerkPlacer:
                             + time.perf_counter() - t_start,
                             config=cfg.to_dict(),
                         ),
-                    )
-                if tel.enabled:
-                    tel.stream("iterations").record(
-                        iteration=m,
-                        hpwl_m=stats.hpwl_m,
-                        empty_square_ratio=ratio,
-                        overflow_fraction=overflow,
-                        max_force=stats.max_force,
-                        force_scale=stats.force_scale,
-                        cg_iterations=cg_iters,
-                        seconds=stats.seconds,
-                        **{f"s_{k}": v for k, v in stats.phase_seconds.items()},
                     )
                 if cfg.verbose:
                     print(
@@ -595,13 +583,19 @@ class KraftwerkPlacer:
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """One transformation in hold mode.
 
-        The new placement is ``keep * p_cur + relax * p_opt + alpha * u``
-        where ``u = A^-1 f`` is the exact displacement response to the kick
-        and ``alpha`` rescales it so the largest *actual* step equals the
-        target ``unevenness * K (W + H)``.  Forces excite the near-rigid
-        collective modes of the spring system (only pads resist a coherent
-        drift of a whole clump), so bounding the response rather than the
-        force is the only way to control the step robustly.
+        The spread target is ``p_cur + alpha * u``, where
+        ``u = (A + mu I)^-1 f`` is the tethered displacement response to
+        the kick and ``alpha`` rescales it so the largest *actual* step
+        equals the target ``unevenness * K (W + H)`` (capped at a fraction
+        of the region).  Forces excite the near-rigid collective modes of
+        the spring system (only pads resist a coherent drift of a whole
+        clump), so bounding the response rather than the force is the only
+        way to control the step robustly.
+
+        The new placement is then the solution of the full spring system
+        with a pseudo-spring (:data:`SPREAD_PIN` times the mean matrix
+        diagonal, scaled by ``K``) pinning every variable to its spread
+        target.
         """
         cfg = self.config
         tel = self.telemetry

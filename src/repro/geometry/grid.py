@@ -72,9 +72,6 @@ class Grid:
     def x_edges(self) -> np.ndarray:
         return self.bounds.xlo + self.dx * np.arange(self.nx + 1)
 
-    def y_edges(self) -> np.ndarray:
-        return self.bounds.ylo + self.dy * np.arange(self.ny + 1)
-
     def x_centers(self) -> np.ndarray:
         return self.bounds.xlo + self.dx * (np.arange(self.nx) + 0.5)
 

@@ -78,11 +78,6 @@ class MoveEvaluator:
         self.inc_net_list = self.inc_net.tolist()
 
     # ------------------------------------------------------------------
-    def nets_of(self, cell: int) -> np.ndarray:
-        """Net indices incident to *cell* (each once)."""
-        return self.inc_net[self.cell_ptr[cell] : self.cell_ptr[cell + 1]]
-
-    # ------------------------------------------------------------------
     def extents(
         self, x: np.ndarray, y: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -100,26 +100,6 @@ class RowIndex:
         self.row_y = np.array(ys)
         self.row_segments = groups
 
-    def rows_by_distance(self, y: float):
-        """Row indices in increasing |row_y - y|, ties to the lower row."""
-        ys = self.row_y
-        n = len(ys)
-        hi = int(np.searchsorted(ys, y))
-        lo = hi - 1
-        while lo >= 0 or hi < n:
-            if lo < 0:
-                yield hi
-                hi += 1
-            elif hi >= n:
-                yield lo
-                lo -= 1
-            elif y - ys[lo] <= ys[hi] - y:
-                yield lo
-                lo -= 1
-            else:
-                yield hi
-                hi += 1
-
 
 class _SegState:
     """Flat cluster state of one segment (lists, not dataclasses)."""

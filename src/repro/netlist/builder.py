@@ -133,9 +133,6 @@ class NetlistBuilder:
         """Mark cell *index* as a register (the generator's depth bound)."""
         self._cells["register_mask"][index] = True
 
-    def has_cell(self, name: str) -> bool:
-        return name in self._cell_index
-
     def _cell_view(self, index: int) -> Cell:
         c = {column: values[index] for column, values in self._cells.items()}
         return Cell._view(

@@ -24,7 +24,7 @@ every coarse netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -148,21 +148,6 @@ def _pair_table(
     a, b, net_idx, w = (np.concatenate(cols) for cols in zip(*parts))
     order = np.argsort(net_idx, kind="stable")  # net order = dict order
     return a[order], b[order], w[order]
-
-
-def _connection_weights(
-    netlist: Netlist, max_degree: int
-) -> Dict[Tuple[int, int], float]:
-    """Pairwise clique weights between movable cells (small nets only).
-
-    Kept for tests/introspection; :func:`cluster_netlist` now consumes the
-    array form from :func:`_pair_table` directly.
-    """
-    a, b, w = _dedupe_pairs(*_pair_table(netlist, max_degree), netlist.num_cells)
-    return {
-        (int(x), int(y)): float(v)
-        for x, y, v in zip(a.tolist(), b.tolist(), w.tolist())
-    }
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,7 @@ wall-clock and work counters to each.  This package provides:
 
 - :mod:`~repro.observability.spans` — hierarchical span timers with
   counters and a zero-overhead null implementation,
-- :mod:`~repro.observability.metrics` — per-iteration metric streams,
-- :mod:`~repro.observability.trace` — JSONL trace export,
+- :mod:`~repro.observability.trace` — JSONL trace export of the span tree,
 - :mod:`~repro.observability.events` — the service lifecycle event log
   (JSONL stream + counters + latency percentiles),
 - :mod:`~repro.observability.bench` — the ``repro bench`` regression
@@ -25,20 +24,21 @@ Usage::
 
 Pass nothing and the placer runs against :data:`NULL_TELEMETRY`, whose
 every operation is a no-op — instrumentation stays in the code at
-effectively zero cost.
+effectively zero cost.  Telemetry records spans only: the per-iteration
+record is :attr:`~repro.core.placer.PlacementResult.history`, and an
+attached recorder does not make the placer compute its HPWL and max-force
+columns (an ``iteration_hook``, ``verbose`` or a deadline does).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List
+from typing import Callable
 
 from .events import EVENT_SCHEMA, EventLog, latency_summary, percentile
-from .metrics import MetricStream, NullMetricStream, NULL_STREAM
 from .spans import NullRecorder, NullSpan, NULL_RECORDER, Span, SpanRecorder
 from .trace import (
     TRACE_SCHEMA,
-    metric_events,
     read_trace_jsonl,
     span_events,
     write_trace_jsonl,
@@ -46,13 +46,10 @@ from .trace import (
 
 
 class Telemetry:
-    """Facade bundling a span recorder with named metric streams."""
-
-    enabled = True
+    """Facade over a span recorder, with trace export."""
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.spans = SpanRecorder(clock)
-        self._streams: Dict[str, MetricStream] = {}
 
     # -- spans ----------------------------------------------------------
     def span(self, name: str) -> Span:
@@ -63,17 +60,6 @@ class Telemetry:
         """Accumulate a counter on the innermost open span."""
         self.spans.add(counter, value)
 
-    # -- metric streams -------------------------------------------------
-    def stream(self, name: str) -> MetricStream:
-        """The named metric stream, created on first use."""
-        stream = self._streams.get(name)
-        if stream is None:
-            stream = self._streams[name] = MetricStream(name)
-        return stream
-
-    def streams(self) -> List[MetricStream]:
-        return list(self._streams.values())
-
     # -- export ---------------------------------------------------------
     def write_trace(self, path) -> object:
         return write_trace_jsonl(path, self)
@@ -82,8 +68,6 @@ class Telemetry:
 class NullTelemetry:
     """Telemetry-shaped no-op; the default for all instrumented code."""
 
-    enabled = False
-
     spans = NULL_RECORDER
 
     def span(self, name: str) -> NullSpan:
@@ -91,12 +75,6 @@ class NullTelemetry:
 
     def add(self, counter: str, value: float = 1.0) -> None:
         pass
-
-    def stream(self, name: str) -> NullMetricStream:
-        return NULL_STREAM
-
-    def streams(self) -> List[MetricStream]:
-        return []
 
 
 #: Shared no-op instance used as the default ``telemetry=`` everywhere.
@@ -108,9 +86,6 @@ __all__ = [
     "EventLog",
     "latency_summary",
     "percentile",
-    "MetricStream",
-    "NullMetricStream",
-    "NULL_STREAM",
     "NullRecorder",
     "NullSpan",
     "NULL_RECORDER",
@@ -120,7 +95,6 @@ __all__ = [
     "NullTelemetry",
     "NULL_TELEMETRY",
     "TRACE_SCHEMA",
-    "metric_events",
     "read_trace_jsonl",
     "span_events",
     "write_trace_jsonl",

@@ -334,7 +334,7 @@ def run_bench(
             f"an untracked cost must be attributed ({breakdown})"
         )
     cg_iterations = int(
-        sum(telemetry.stream("iterations").series("cg_iterations"))
+        sum(agg.get("cg_iterations", 0.0) for agg in totals.values())
     )
 
     if trace_path is not None:

@@ -70,13 +70,6 @@ class Span:
         """Accumulate ``value`` into this span's named counter."""
         self.counters[counter] = self.counters.get(counter, 0.0) + value
 
-    def child_seconds(self) -> Dict[str, float]:
-        """Seconds per direct-child span name (same names accumulate)."""
-        out: Dict[str, float] = {}
-        for child in self.children:
-            out[child.name] = out.get(child.name, 0.0) + child.seconds
-        return out
-
     def walk(self, depth: int = 0) -> Iterator[Tuple[int, "Span"]]:
         """Depth-first (depth, span) traversal of this subtree."""
         yield depth, self
@@ -107,9 +100,6 @@ class NullSpan:
     def add(self, counter: str, value: float = 1.0) -> None:
         pass
 
-    def child_seconds(self) -> Dict[str, float]:
-        return {}
-
     def walk(self, depth: int = 0) -> Iterator[Tuple[int, "NullSpan"]]:
         return iter(())
 
@@ -119,8 +109,6 @@ _NULL_SPAN = NullSpan()
 
 class SpanRecorder:
     """Collects a forest of nested spans on a monotonic clock."""
-
-    enabled = True
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.clock = clock
@@ -163,8 +151,6 @@ class SpanRecorder:
 
 class NullRecorder:
     """Recorder-shaped no-op: the zero-overhead default."""
-
-    enabled = False
 
     def span(self, name: str) -> NullSpan:
         return _NULL_SPAN

@@ -1,9 +1,8 @@
 """Trace export: one JSONL event stream per telemetry recorder.
 
-One event per line, plain text so it diffs and greps well.  Span events
-carry name, depth, start offset, duration and counters; metric events
-carry the stream name and the row.  This is the raw material for
-flame-graph style analysis.
+One event per line, plain text so it diffs and greps well: a header,
+then one event per span carrying name, depth, start offset, duration and
+counters.  This is the raw material for flame-graph style analysis.
 
 The reader (:func:`read_trace_jsonl`) round-trips the writer's output and
 is what the tests rely on.
@@ -45,22 +44,12 @@ def span_events(recorder) -> List[Dict[str, Any]]:
     return events
 
 
-def metric_events(streams) -> List[Dict[str, Any]]:
-    """Flatten metric streams to serializable event dicts."""
-    events = []
-    for stream in streams:
-        for row in stream.rows:
-            events.append({"type": "metric", "stream": stream.name, "row": row})
-    return events
-
-
 def write_trace_jsonl(path: PathLike, telemetry) -> Path:
-    """Write the full trace (header + span + metric events) as JSONL."""
+    """Write the full trace (header + span events) as JSONL."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     events: List[Dict[str, Any]] = [{"type": "header", "schema": TRACE_SCHEMA}]
     events.extend(span_events(telemetry.spans))
-    events.extend(metric_events(telemetry.streams()))
     with path.open("w", encoding="utf-8") as fh:
         for event in events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")

@@ -121,10 +121,9 @@ def _execute_job(
     *progress*, when given **and** the payload carries
     ``stream_progress=True``, receives one JSON-safe dict per placer
     transformation — the worker half of the streaming-progress bridge.
-    Only the hook and the progress messages are gated: the job's
-    telemetry recorder is always enabled, which opens the placer's
-    observer gate, so the per-iteration stats are computed either way
-    (ROADMAP item 6).
+    Without it the placer gets no ``iteration_hook``, so (unless the
+    config is verbose or has a deadline) it skips the per-iteration HPWL
+    and max-force stats; the job's telemetry records spans only.
     """
     from contextlib import ExitStack
 

@@ -137,8 +137,6 @@ def _pool_worker_main(
             if message[0] == _MSG_STOP:
                 break
             _, token, payload = message
-            if health._FAULT_HOOKS:
-                health.fire_hook("worker_job", worker_id, token)
             conn.send((MSG_STARTED, token))
             progress = None
             if payload.get("stream_progress"):

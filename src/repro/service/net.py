@@ -41,6 +41,12 @@ replies ``error`` and keeps reading.  A bad first frame (the handshake),
 or a length prefix over :data:`MAX_FRAME_BYTES` (the stream is out of
 sync), gets its ``error`` reply and then a hang-up.
 
+The server names every file a wire job makes it write.  A submit whose
+``config`` names a ``checkpoint_path``, or whose ``id`` or ``name``
+holds a path separator, gets ``error``; so does a ``hello`` token with a
+separator, before the hang-up.  Ids, names and tokens become file names
+in the server's checkpoint and trace directories.
+
 A client that disconnects mid-stream costs nothing: its reader loop
 unsubscribes every handle it registered, its outbox writer dies with the
 socket, and the broker additionally drops any callback that raises — the
@@ -68,6 +74,14 @@ _LEN = struct.Struct(">I")
 #: How long a hang-up waits for the writer to flush the last ``error``
 #: frame before it tears the connection down anyway.
 _HANG_UP_FLUSH_S = 5.0
+
+
+def _file_stem(field: str, value: str, error=ValueError) -> str:
+    """*value*, refused with *error* if it holds a path separator: it
+    becomes a file name in a server directory."""
+    if "/" in value or "\\" in value:
+        raise error(f"{field} {value!r} must not contain '/' or '\\'")
+    return value
 
 
 class WireError(RuntimeError):
@@ -321,7 +335,9 @@ class PlacementServer:
                 hello.get("schema") != WIRE_SCHEMA
             ):
                 raise WireError(f"expected a {WIRE_SCHEMA} hello frame")
-            conn.tenant = str(hello.get("token") or "default")
+            conn.tenant = _file_stem(
+                "token", str(hello.get("token") or "default"), WireError
+            )
             conn.enqueue({
                 "type": "hello", "schema": WIRE_SCHEMA,
                 "tenant": conn.tenant,
@@ -391,6 +407,19 @@ class PlacementServer:
             # Fault hooks kill workers and create files at paths the spec
             # names: in-process test machinery, never a remote client's.
             raise ValueError("inject_faults is not accepted over the wire")
+        config = spec.get("config")
+        if isinstance(config, dict) and (
+            config.get("checkpoint_path") is not None
+        ):
+            # A worker writes (and atomically replaces) that file.  A
+            # server gets snapshots from its own checkpoint directory.
+            raise ValueError(
+                "config.checkpoint_path is not accepted over the wire; "
+                "the server names snapshot files (--checkpoint-dir)"
+            )
+        for field in ("id", "name"):
+            if spec.get(field) is not None:
+                _file_stem(field, str(spec[field]))
         job_id = str(spec.pop("id", None) or self._next_job_id(conn.tenant))
         job = ServiceJob.from_spec(spec, job_id=job_id)
         # The connection's auth token is the tenant; a spec cannot claim
@@ -572,28 +601,11 @@ class WireClient:
             pass
 
     # -- the operations api.Client delegates to --------------------------
-    def submit_job(
-        self,
-        client,
-        job,
-        *,
-        job_id: Optional[str] = None,
-        priority: int = 0,
-        timeout_seconds: Optional[float] = None,
-        subscribe: bool = False,
-    ):
-        """Submit a :class:`PlacementJob`/:class:`ServiceJob`; returns the
+    def submit_job(self, client, job, *, subscribe: bool = False):
+        """Submit a :class:`~repro.service.jobs.ServiceJob`; returns the
         :class:`repro.api.JobHandle` *client* hands out."""
         from ..api import JobHandle
-        from .jobs import ServiceJob
 
-        if not isinstance(job, ServiceJob):
-            job = ServiceJob(
-                job=job,
-                job_id=job_id or "",
-                priority=priority,
-                timeout_seconds=timeout_seconds,
-            )
         spec = job.to_spec()
         if not spec.get("id"):
             spec.pop("id", None)  # let the server assign one

@@ -1,6 +1,6 @@
 """Per-job progress fan-out: the bridge from worker iterations to clients.
 
-The placer already has an observer-gated per-iteration stats path (PR 7):
+The placer already has an observer-gated per-iteration stats path:
 HPWL/force diagnostics are computed only when somebody is watching.  This
 module extends that gating across the process boundary:
 
@@ -9,9 +9,9 @@ module extends that gating across the process boundary:
   threads an ``iteration_hook`` into the placer → one small dict per
   transformation travels worker → supervisor → broker → subscriber;
 - nobody subscribes → the payload flag stays ``False`` → the worker passes
-  ``iteration_hook=None`` and sends no progress messages.  The stats are
-  still computed, because the worker's telemetry recorder opens the
-  placer's ``observe`` gate on its own (ROADMAP item 6).
+  ``iteration_hook=None`` and sends no progress messages, and the placer
+  skips the HPWL/force stats (the worker's telemetry records spans only
+  and does not open the gate).
 
 Callbacks run inline where the supervisor publishes (under its condition
 variable), so they must be non-blocking — enqueue and return.  Both

@@ -322,7 +322,9 @@ class PlacementService:
         with self._cond:
             seq = self._seq + 1
             if isinstance(job, ServiceJob):
-                spec = job if job_id is None else replace(job, job_id=job_id)
+                spec = replace(
+                    job, job_id=job_id or job.job_id or f"j{seq:05d}"
+                )
             else:
                 spec = ServiceJob(
                     job=job,
@@ -613,9 +615,8 @@ class PlacementService:
             )
             # Progress gating across the process boundary: the flag is
             # read once at dispatch; no subscriber means the worker sends
-            # no progress messages.  The worker still computes the
-            # per-iteration stats, because its telemetry opens the
-            # placer's observer gate (ROADMAP item 6).
+            # no progress messages and its placer skips the per-iteration
+            # HPWL and max-force stats.
             payload["stream_progress"] = self.broker.has(job_id)
             record.attempts.append(
                 AttemptRecord(

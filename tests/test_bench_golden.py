@@ -88,9 +88,9 @@ def _run(report, size):
 class TestCommittedReport:
     def test_runs_only_schema(self, report):
         assert report["schema"] == "repro-bench/2"
-        # No per-run fields mirrored at the top level (the pre-v2 layout);
-        # the "batch" record is the only other key allowed to ride along.
-        assert set(report) - {"batch"} == {
+        # No per-run fields mirrored at the top level (the pre-v2 layout),
+        # and no other record riding along.
+        assert set(report) == {
             "schema", "generated_at", "sizes", "deterministic", "runs"
         }
 

@@ -21,6 +21,18 @@ class TestParser:
         assert args.fast
         assert args.net_model == "b2b"
 
+    def test_batch_refuses_seed(self, capsys):
+        # Each batch job takes its seed from --seeds or --jobs; a --seed
+        # that was accepted and ignored (or read as --seeds) misleads.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["batch", "--circuit", "tiny", "--jobs", "2", "--seed", "7"]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        args = build_parser().parse_args(["place", "--seed", "7"])
+        assert args.seed == 7
+
 
 class TestCommands:
     def test_stats(self, capsys):

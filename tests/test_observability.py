@@ -1,10 +1,15 @@
-"""Tests for the observability subsystem: spans, metrics, traces, and the
+"""Tests for the observability subsystem: spans, traces, and the
 telemetry-threaded placer."""
 
 from __future__ import annotations
 
+import importlib
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+import repro
 from repro import (
     KraftwerkPlacer,
     NULL_TELEMETRY,
@@ -14,10 +19,12 @@ from repro import (
     final_placement,
     read_trace_jsonl,
 )
+from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.netlist.placement import placement_hash
 from repro.observability import (
-    MetricStream,
     NullRecorder,
     NullTelemetry,
+    Span,
     TRACE_SCHEMA,
     span_events,
 )
@@ -56,7 +63,6 @@ class TestSpanRecorder:
         outer = rec.roots[0]
         assert outer.seconds == 10.0
         assert outer.children[0].seconds == 2.0
-        assert outer.child_seconds() == {"inner": 2.0}
 
     def test_counter_accumulation(self):
         rec = SpanRecorder()
@@ -89,27 +95,8 @@ class TestSpanRecorder:
             span.add("x", 1)
             rec.add("y", 2)
         assert span.seconds == 0.0
-        assert span.child_seconds() == {}
         assert rec.totals() == {}
         assert list(rec.walk()) == []
-        assert not rec.enabled
-
-
-class TestMetricStream:
-    def test_record_and_series(self):
-        stream = MetricStream("iterations")
-        stream.record(iteration=0, hpwl_m=2.0)
-        stream.record(iteration=1, hpwl_m=1.5, extra=7)
-        assert len(stream) == 2
-        assert stream.series("hpwl_m") == [2.0, 1.5]
-        assert stream.series("extra") == [7]
-        assert stream.last == {"iteration": 1, "hpwl_m": 1.5, "extra": 7}
-
-    def test_telemetry_stream_factory_reuses_instances(self):
-        tel = Telemetry()
-        assert tel.stream("a") is tel.stream("a")
-        assert tel.stream("a") is not tel.stream("b")
-        assert {s.name for s in tel.streams()} == {"a", "b"}
 
 
 class TestTraceRoundTrip:
@@ -119,26 +106,17 @@ class TestTraceRoundTrip:
             span.add("cells", 60)
             with tel.span("density"):
                 pass
-        tel.stream("iterations").record(iteration=0, hpwl_m=1.25)
         path = tmp_path / "trace.jsonl"
         tel.write_trace(path)
 
         events = read_trace_jsonl(path)
         assert events[0] == {"type": "header", "schema": TRACE_SCHEMA}
         spans = [e for e in events if e["type"] == "span"]
-        metrics = [e for e in events if e["type"] == "metric"]
         by_name = {e["name"]: e for e in spans}
         assert by_name["place"]["depth"] == 0
         assert by_name["place"]["counters"] == {"cells": 60}
         assert by_name["density"]["depth"] == 1
         assert by_name["density"]["ts"] >= 0.0
-        assert metrics == [
-            {
-                "type": "metric",
-                "stream": "iterations",
-                "row": {"iteration": 0, "hpwl_m": 1.25},
-            }
-        ]
 
     def test_span_events_empty_recorder(self):
         assert span_events(SpanRecorder()) == []
@@ -160,27 +138,24 @@ class TestPlacerIntegration:
         assert totals["iteration"]["count"] == result.iterations
         # CG counters land on the hold/solve spans.
         assert totals["solve"]["cg_iterations"] > 0
-        # Per-iteration stream mirrors the history.
-        stream = tel.stream("iterations")
-        assert len(stream) == result.iterations
-        assert stream.series("hpwl_m") == [s.hpwl_m for s in result.history]
-        row = stream.last
-        assert {"s_density", "s_poisson", "s_solve", "s_hold"} <= set(row)
-        # Phase seconds attach to every IterationStats.
-        assert all(s.phase_seconds.get("density", 0) > 0 for s in result.history)
 
     def test_noop_recorder_leaves_result_untouched(self, tiny_circuit):
         placer = KraftwerkPlacer(
             tiny_circuit.netlist, tiny_circuit.region, PlacerConfig()
         )
         assert placer.telemetry is NULL_TELEMETRY
-        result = placer.place(max_iterations=3)
-        assert all(s.phase_seconds == {} for s in result.history)
+        placer.place(max_iterations=3)
 
     def test_null_telemetry_singleton_shape(self):
-        tel = NullTelemetry()
-        assert tel.streams() == []
-        assert len(tel.stream("whatever")) == 0
+        # Spans are the one telemetry record: no metric streams, and no
+        # switch that instrumented code could branch on.
+        for tel in (Telemetry(), NullTelemetry()):
+            for name in ("stream", "streams", "enabled"):
+                assert not hasattr(tel, name), name
+            assert not hasattr(tel.spans, "enabled")
+        assert not hasattr(Span, "child_seconds")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.observability.metrics")
 
     def test_legalize_spans(self, tiny_circuit):
         tel = Telemetry()
@@ -205,3 +180,74 @@ class TestPlacerIntegration:
         ).place(max_iterations=5)
         assert (plain.placement.x == traced.placement.x).all()
         assert (plain.placement.y == traced.placement.y).all()
+
+
+class TestOneRecord:
+    """The span tree is the one telemetry record and ``history`` the one
+    per-iteration record; a recorder does not switch on the diagnostics."""
+
+    def test_recorder_alone_skips_hpwl_and_max_force(self, tiny_circuit):
+        netlist, region = tiny_circuit.netlist, tiny_circuit.region
+        plain = KraftwerkPlacer(netlist, region).place(max_iterations=5)
+        traced = KraftwerkPlacer(
+            netlist, region, telemetry=Telemetry()
+        ).place(max_iterations=5)
+        assert traced.history
+        for stats in traced.history:
+            assert np.isnan(stats.hpwl_m) and np.isnan(stats.max_force)
+            assert np.isfinite(stats.overflow_fraction)
+        assert placement_hash(traced.placement) == placement_hash(
+            plain.placement
+        )
+
+        hooked = KraftwerkPlacer(
+            netlist, region, telemetry=Telemetry()
+        ).place(max_iterations=5, iteration_hook=lambda stats, _: None)
+        for stats in hooked.history:
+            assert np.isfinite(stats.hpwl_m) and stats.hpwl_m > 0
+            assert np.isfinite(stats.max_force)
+        assert placement_hash(hooked.placement) == placement_hash(
+            plain.placement
+        )
+
+    def test_place_trace_is_spans_only(self, tmp_path):
+        tel = Telemetry()
+        repro.place("tiny", telemetry=tel, max_iterations=6)
+        path = tel.write_trace(tmp_path / "place.trace.jsonl")
+        events = read_trace_jsonl(path)
+        assert events[0] == {"type": "header", "schema": TRACE_SCHEMA}
+        assert {e["type"] for e in events[1:]} == {"span"}
+        totals = tel.spans.totals()
+        assert {"seconds", "count"} <= set(totals["iteration"])
+        cg = sum(
+            e.get("counters", {}).get("cg_iterations", 0.0) for e in events
+        )
+        assert cg > 0
+        assert cg == sum(
+            agg.get("cg_iterations", 0.0) for agg in totals.values()
+        )
+
+    def test_snapshot_with_phase_seconds_resumes(self, tiny_circuit, tmp_path):
+        # Snapshots written before ``IterationStats.phase_seconds`` was
+        # removed carry that key in every history row.
+        netlist, region = tiny_circuit.netlist, tiny_circuit.region
+        full = KraftwerkPlacer(netlist, region).place(max_iterations=8)
+        ckpt = tmp_path / "old.ckpt.npz"
+        KraftwerkPlacer(
+            netlist, region,
+            PlacerConfig(checkpoint_path=str(ckpt), checkpoint_every=4),
+        ).place(max_iterations=4)
+        snapshot = load_checkpoint(ckpt)
+        old_rows = [
+            dict(row, phase_seconds={"density": 0.001, "solve": 0.002})
+            for row in snapshot.history
+        ]
+        save_checkpoint(ckpt, replace(snapshot, history=old_rows))
+        resumed = KraftwerkPlacer(netlist, region).place(
+            max_iterations=8, resume_from=ckpt
+        )
+        assert np.array_equal(resumed.placement.x, full.placement.x)
+        assert np.array_equal(resumed.placement.y, full.placement.y)
+        assert [s.iteration for s in resumed.history] == [
+            s.iteration for s in full.history
+        ]

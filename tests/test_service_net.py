@@ -61,6 +61,27 @@ def idle_server():
         threading.excepthook = previous
 
 
+@pytest.fixture(scope="module")
+def dir_server(tmp_path_factory):
+    """A server that snapshots and traces every job into directories of
+    its own, under an otherwise empty root."""
+    root = tmp_path_factory.mktemp("served")
+    config = service_config(
+        checkpoint_dir=root / "ckpt", trace_dir=root / "traces"
+    )
+    with PlacementServer(service_config=config) as srv:
+        yield srv, root
+
+
+def files_outside(root):
+    """Files under *root* that are not in the server's own directories."""
+    return sorted(
+        str(path.relative_to(root)) for path in root.rglob("*")
+        if path.is_file()
+        and path.relative_to(root).parts[0] not in ("ckpt", "traces")
+    )
+
+
 def raw_connect(address, token="raw"):
     """A socket past the ``hello`` handshake, with no client thread."""
     sock = socket.create_connection(address, timeout=10.0)
@@ -401,6 +422,55 @@ class TestSubmitRejects:
         assert "line 3: cell 'a' has non-finite power" in reply["error"]
         assert server.service.report()["n_submitted"] == 0
 
+    @pytest.mark.parametrize("field, keywords", [
+        ("checkpoint_path", {"config": {"checkpoint_path": "OWNED",
+                                        "checkpoint_every": 1}}),
+        ("id", {"job_id": "../escaped-id"}),
+        ("id", {"job_id": "..\\escaped-id"}),
+        ("name", {"name": "../escaped-name"}),
+    ], ids=["checkpoint-path", "id-slash", "id-backslash", "name-slash"])
+    def test_client_chosen_file_paths_refused(self, dir_server, field,
+                                              keywords):
+        """The server names every file a wire job writes: a spec cannot
+        pick a snapshot path or climb out of the server's directories."""
+        server, root = dir_server
+        owned = root / "owned.npz"
+        if "config" in keywords:
+            keywords = {"config": dict(keywords["config"],
+                                       checkpoint_path=str(owned))}
+        with Client.connect(*server.address, token="paths") as client:
+            before = client.report()["n_submitted"]
+            with pytest.raises(WireError, match=field):
+                client.submit("tiny", seed=11, legalize=False,
+                              max_iterations=2, **keywords)
+            assert client.report()["n_submitted"] == before
+            # The connection keeps serving, and its jobs write only into
+            # the server's directories.
+            record = wire_submit(client, seed=12).result(timeout=120.0)
+        assert record.state.value == "done"
+        assert not owned.exists()
+        assert files_outside(root) == []
+        assert list((root / "traces").glob("paths-*.trace.jsonl"))
+
+    @pytest.mark.parametrize("token", ["../tok", "..\\tok"])
+    def test_token_with_path_separator_refused(self, dir_server, token):
+        server, root = dir_server
+        before = server.service.report()["n_submitted"]
+        sock = socket.create_connection(server.address, timeout=10.0)
+        try:
+            send_frame(sock, {"type": "hello", "schema": WIRE_SCHEMA,
+                              "token": token})
+            reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert "token" in reply["error"]
+            # A bad hello is answered, then hung up on.
+            with pytest.raises(EOFError):
+                recv_frame(sock)
+        finally:
+            sock.close()
+        assert server.service.report()["n_submitted"] == before
+        assert files_outside(root) == []
+
     def test_bad_config_leaves_no_record(self, server):
         with Client.connect(*server.address, token="knob") as client:
             before = client.report()["n_submitted"]
@@ -441,6 +511,26 @@ class TestSubmitResult:
             assert record.state.value == "cancelled"
             done = client._wait_result(running.job_id, timeout=120.0)
             assert done.state.value == "done"
+
+    def test_scheduling_keywords_reach_the_service(self, server):
+        """``retry`` and ``timeout_seconds`` mean the same on both
+        transports."""
+        policy = RetryPolicy(max_attempts=1)
+        specs = []
+        for client in (Client.connect(*server.address, token="kw"),
+                       Client.local(service=server.service)):
+            with client:
+                handle = client.submit(
+                    "tiny", seed=13, legalize=False, max_iterations=2,
+                    retry=policy, timeout_seconds=30.0,
+                )
+                assert handle.result(timeout=120.0).state.value == "done"
+            specs.append(server.service.record(handle.job_id).spec)
+        for spec in specs:
+            assert spec.retry == policy
+            assert spec.timeout_seconds == 30.0
+        # The in-process submit named no id: the service assigned one.
+        assert specs[1].job_id.startswith("j")
 
     def test_report_over_wire(self, server):
         with Client.connect(*server.address, token="rep") as client:
