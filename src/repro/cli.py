@@ -546,7 +546,7 @@ def _load_job_specs(path) -> list:
     if not isinstance(data, list):
         raise SystemExit(f"{path}: expected a JSON list of job specs "
                          f"(or an object with a 'jobs' list)")
-    return [dict(spec) for spec in data]
+    return data
 
 
 def _print_job_result(summary: dict) -> None:
@@ -602,7 +602,8 @@ def cmd_serve(args) -> int:
             print(f"serve: {len(specs)} jobs, {args.workers} workers "
                   f"({service.pool.mp_context})", flush=True)
             for index, spec in enumerate(specs):
-                job_id = str(spec.pop("id", None) or f"j{index + 1:05d}")
+                given = spec.get("id") if isinstance(spec, dict) else None
+                job_id = str(given or f"j{index + 1:05d}")
                 try:
                     ticket = service.submit(
                         ServiceJob.from_spec(spec, job_id=job_id)

@@ -12,7 +12,6 @@ from typing import Sequence
 from ..geometry import PlacementRegion, Rect
 from ..netlist import Placement
 from ..observability import NULL_TELEMETRY
-from ..perf import improver_alloc_scope
 from .segments import Segment, build_segments, total_capacity
 from .greedy import TetrisLegalizer
 from .domino import DominoImprover
@@ -60,7 +59,7 @@ def final_placement(
                 f"legalization failed for {len(legal.failed_cells)} cells"
             )
         result = legal.placement
-        with telemetry.span("improve"), improver_alloc_scope(len(result.x)):
+        with telemetry.span("improve"):
             result = VectorImprover(
                 region, max_passes=_IMPROVER_PASSES, obstacles=obstacles,
                 min_gain=improver_min_gain,

@@ -5,8 +5,9 @@ spirit of the Domino final placer [17]: adjacent-pair swaps, cross-row
 swaps between x-aligned cells of nearby rows, and optimal median slides
 (each cell to the 1-D HPWL optimum of its nets, clamped into its free
 span).  Moves are priced in batches with
-:class:`~repro.legalize.extents.MoveEvaluator` instead of per-move Python
-net walks.  Each pass:
+:class:`~repro.legalize.extents.MoveEvaluator`, from per-net extremes it
+keeps up to date on the live coordinates, instead of per-move Python net
+walks.  Each pass:
 
 1. generates every candidate move of one family across all rows at once
    (from a freshly sorted row view, so spans are never stale),
@@ -17,8 +18,9 @@ net walks.  Each pass:
    positions its legality check read) have moved, and none of its nets
    were touched by an earlier acceptance in the same round — net-blocked
    candidates stay alive and are re-priced against the updated placement
-   in the next round, so one candidate generation approaches the move
-   yield of a fully sequential greedy sweep at batch cost.
+   in the next round (only their pairs on the nets that round changed),
+   so one candidate generation approaches the move yield of a fully
+   sequential greedy sweep at batch cost.
 
 The dirty-net filter makes every applied delta exact and the frozen-window
 rule makes every accepted move legal, so each pass monotonically decreases
@@ -110,9 +112,6 @@ class _RowView:
     def num_rows(self) -> int:
         return len(self.row_start) - 1
 
-    def row_slice(self, r: int) -> slice:
-        return slice(int(self.row_start[r]), int(self.row_start[r + 1]))
-
 
 class VectorImprover:
     """Batched greedy detailed placement with exact HPWL deltas."""
@@ -142,7 +141,7 @@ class VectorImprover:
     def improve(self, placement: Placement) -> ImprovementResult:
         nl = placement.netlist
         out = placement.copy()
-        ev = MoveEvaluator(nl)
+        ev = MoveEvaluator(nl, out.x, out.y)
         movable = nl.movable_indices
         std = movable[~nl.kind_mask(CellKind.BLOCK)[movable]]
         hpwl_before = float(net_hpwl(out).sum())
@@ -228,8 +227,8 @@ class VectorImprover:
         """Mask of candidates with any (non-padding) window cell eligible."""
         if eligible is None:
             return np.ones(len(windows), dtype=bool)
-        safe = np.where(windows >= 0, windows, 0)
-        return ((windows >= 0) & eligible[safe]).any(axis=1)
+        # The -1 padding reads the appended False.
+        return np.append(eligible, False)[windows.T].any(axis=0)
 
     # ------------------------------------------------------------------
     def _obstacle_ok(
@@ -268,77 +267,80 @@ class VectorImprover:
         Returns ``(moves_taken, hpwl_gain_um)`` — the gain is the exact
         summed improvement of the applied deltas (positive)."""
         nl = out.netlist
-        locked = bytearray(nl.num_cells)
+        # One spare byte, never locked: a window's -1 padding indexes it.
+        locked = bytearray(nl.num_cells + 1)
         num_nets = max(nl.num_nets, 1)
+        batch = ev.moves(
+            cell_a, new_ax, new_ay, cell_b, new_bx, new_by, x_only=x_only
+        )
         # Pure-Python structures: the accept loop touches a few cells and
         # nets per candidate, where list indexing beats numpy fancy
         # indexing by an order of magnitude.
         win_list = windows.tolist()
-        cell_ptr = ev.cell_ptr_list
-        inc_net = ev.inc_net_list
-        a_list = cell_a.tolist()
-        b_list = cell_b.tolist() if cell_b is not None else None
-        x, y = out.x, out.y
+        pair_net = batch.pair_net.tolist()
+        move_ptr = batch.move_ptr.tolist()
         two = cell_b is not None
         alive = np.arange(len(cell_a))
+        dirty_mask = None
         taken = 0
         gain = 0.0
         for _ in range(max_rounds):
             if not alive.size:
                 break
-            deltas = ev.deltas(
-                x, y, cell_a[alive], new_ax[alive], new_ay[alive],
-                cell_b[alive] if two else None,
-                new_bx[alive] if two else None,
-                new_by[alive] if two else None,
-                x_only=x_only,
-            )
+            if dirty_mask is not None:
+                # Only pairs on nets the last round changed can price
+                # differently now.
+                keep = np.zeros(len(cell_a), dtype=bool)
+                keep[alive] = True
+                batch.price(np.flatnonzero(
+                    keep[batch.pair_move] & dirty_mask[batch.pair_net]
+                ))
+            deltas = batch.deltas()[alive]
             cand = np.flatnonzero(deltas < -_EPS)
             if not cand.size:
                 break
             order = cand[np.argsort(deltas[cand], kind="stable")]
+            alive_list = alive.tolist()
+            delta_list = deltas.tolist()
             dirty = bytearray(num_nets)
             retry = []
-            round_taken = 0
+            accepted = []
             for mi in order.tolist():
-                m = int(alive[mi])
-                ok = True
-                for c in win_list[m]:
-                    if c >= 0 and locked[c]:
-                        ok = False
+                m = alive_list[mi]
+                window = win_list[m]
+                for c in window:
+                    if locked[c]:
                         break
-                if not ok:
-                    continue
-                ca = a_list[m]
-                nets = inc_net[cell_ptr[ca] : cell_ptr[ca + 1]]
-                if two:
-                    cb = b_list[m]
-                    nets = nets + inc_net[cell_ptr[cb] : cell_ptr[cb + 1]]
-                clean = True
-                for j in nets:
-                    if dirty[j]:
-                        clean = False
-                        break
-                if not clean:
-                    retry.append(m)
-                    continue
-                x[ca] = new_ax[m]
-                y[ca] = new_ay[m]
-                moved[ca] = True
-                if two:
-                    x[cb] = new_bx[m]
-                    y[cb] = new_by[m]
-                    moved[cb] = True
-                for c in win_list[m]:
-                    if c >= 0:
-                        locked[c] = 1
-                for j in nets:
-                    dirty[j] = 1
-                round_taken += 1
-                gain -= float(deltas[mi])
-            taken += round_taken
-            if round_taken == 0:
+                else:
+                    nets = pair_net[move_ptr[m] : move_ptr[m + 1]]
+                    for j in nets:
+                        if dirty[j]:
+                            retry.append(m)
+                            break
+                    else:
+                        for c in window:
+                            locked[c] = 1
+                        locked[-1] = 0
+                        for j in nets:
+                            dirty[j] = 1
+                        accepted.append(m)
+                        gain -= delta_list[mi]
+            if not accepted:
                 break
+            taken += len(accepted)
+            # Accepted moves have disjoint windows, so they apply at once.
+            acc = np.array(accepted, dtype=np.int64)
+            out.x[cell_a[acc]] = new_ax[acc]
+            moved[cell_a[acc]] = True
+            if not x_only:
+                out.y[cell_a[acc]] = new_ay[acc]
+            if two:
+                out.x[cell_b[acc]] = new_bx[acc]
+                moved[cell_b[acc]] = True
+                if not x_only:
+                    out.y[cell_b[acc]] = new_by[acc]
+            dirty_mask = np.frombuffer(dirty, dtype=bool)[: nl.num_nets]
+            ev.refresh(np.flatnonzero(dirty_mask), y=not x_only)
             alive = np.array(retry, dtype=np.int64)
         if alive.size:
             # Still-improving but net-blocked candidates: seed the next
@@ -393,27 +395,24 @@ class VectorImprover:
         eligible: Optional[np.ndarray], moved: np.ndarray,
     ) -> Tuple[int, float]:
         nl = out.netlist
-        pa_list = []
-        pb_list = []
-        for r in range(view.num_rows - 1):
-            lo = view.row_slice(r)
-            up = view.row_slice(r + 1)
-            n_lo = lo.stop - lo.start
-            n_up = up.stop - up.start
-            if not n_lo or not n_up:
-                continue
-            lx = out.x[view.cells[lo]]
-            ux = out.x[view.cells[up]]
-            k = np.searchsorted(ux, lx)
-            pos_a = np.repeat(np.arange(n_lo), 2)
-            pos_b = np.stack((k - 1, k), axis=1).ravel()
-            valid = (pos_b >= 0) & (pos_b < n_up)
-            pa_list.append(pos_a[valid] + lo.start)
-            pb_list.append(pos_b[valid] + up.start)
-        if not pa_list:
+        # Each cell of a row below the top one pairs with the two cells of
+        # the next row that bracket its x.  Complex keys (row, x) compare
+        # lexicographically, so one search finds every bracket.
+        if view.num_rows < 2:
             return 0, 0.0
-        pa = np.concatenate(pa_list)
-        pb = np.concatenate(pb_list)
+        row = np.repeat(np.arange(view.num_rows), np.diff(view.row_start))
+        keys = np.empty(len(view.cells), dtype=np.complex128)
+        keys.real = row
+        keys.imag = out.x[view.cells]
+        lower = np.arange(view.row_start[-2])
+        k = np.searchsorted(keys, keys[lower] + 1.0)
+        pa = np.repeat(lower, 2)
+        pb = np.stack((k - 1, k), axis=1).ravel()
+        up = np.repeat(row[lower] + 1, 2)
+        valid = (pb >= view.row_start[up]) & (pb < view.row_start[up + 1])
+        pa, pb = pa[valid], pb[valid]
+        if not pa.size:
+            return 0, 0.0
         a = view.cells[pa]
         b = view.cells[pb]
         # Window: both cells plus their four row neighbors (their spans
@@ -478,10 +477,7 @@ class VectorImprover:
             return 0, 0.0
         cells = view.cells[pos]
         windows = windows[keep]
-        targets = self._median_targets(
-            out, ev, nl.num_cells, cells if eligible is not None else None
-        )
-        t = targets[cells]
+        t = self._median_targets(ev, cells)
         have = np.isfinite(t)
         pos, cells, t, windows = pos[have], cells[have], t[have], windows[have]
         if not cells.size:
@@ -507,32 +503,34 @@ class VectorImprover:
             out, ev, moved, windows, cells, new_x, new_y, x_only=True
         )
 
-    def _median_targets(
-        self, out: Placement, ev: MoveEvaluator, num_cells: int,
-        cells: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """1-D optimal x per cell: median of exclusive net-extent endpoints.
+    @staticmethod
+    def _median_targets(ev: MoveEvaluator, cells: np.ndarray) -> np.ndarray:
+        """1-D optimal x per listed cell: median of exclusive net-extent
+        endpoints.
 
-        NaN where a cell has no nets with other cells' pins (or, when a
-        ``cells`` subset is given, outside the subset).
+        NaN where a cell has no nets with other cells' pins.
         """
-        excl_min, excl_max, inc_cell = ev.exclusive_x(out.x, cells)
+        excl_min, excl_max = ev.exclusive_x(cells)
         fin = np.isfinite(excl_min) & np.isfinite(excl_max)
-        cell_rep = np.concatenate((inc_cell[fin], inc_cell[fin]))
-        pts = np.concatenate((excl_min[fin], excl_max[fin]))
-        if not pts.size:
-            return np.full(num_cells, np.nan)
-        order = np.lexsort((pts, cell_rep))
-        cell_s = cell_rep[order]
-        pts_s = pts[order]
-        rng = np.arange(num_cells)
-        start = np.searchsorted(cell_s, rng)
-        count = np.searchsorted(cell_s, rng, side="right") - start
-        targets = np.full(num_cells, np.nan)
-        mid = start + count // 2
-        odd = (count % 2 == 1)
-        even = (count > 0) & ~odd
-        targets[odd] = pts_s[mid[odd]]
-        safe_mid = np.minimum(mid[even], len(pts_s) - 1)
-        targets[even] = 0.5 * (pts_s[safe_mid - 1] + pts_s[safe_mid])
+        cnt = ev.cell_ptr[cells + 1] - ev.cell_ptr[cells]
+        n = len(cells)
+        k = int(cnt.max())
+        # One row per cell: its exclusive minima, then its maxima, with
+        # +inf for nets without other cells and for padding, so that a
+        # row sort puts the cell's 2 * n_finite endpoints first.
+        row = np.repeat(np.arange(n), cnt)
+        at = row * (2 * k) + np.arange(len(row)) - np.repeat(
+            np.cumsum(cnt) - cnt, cnt
+        )
+        pts = np.full(n * 2 * k, np.inf)
+        pts[at] = np.where(fin, excl_min, np.inf)
+        pts[at + k] = np.where(fin, excl_max, np.inf)
+        pts = pts.reshape(n, 2 * k)
+        pts.sort(axis=1)
+        # Always an even count of endpoints: the median is the mean of the
+        # middle two.
+        mid = np.bincount(row, weights=fin, minlength=n).astype(np.int64)
+        r = np.flatnonzero(mid)
+        targets = np.full(n, np.nan)
+        targets[r] = 0.5 * (pts[r, mid[r] - 1] + pts[r, mid[r]])
         return targets

@@ -1,8 +1,6 @@
 """Process-level performance tuning shared by the CLI and the bench.
 
-One lever lives here today: glibc malloc tuning for array-churn workloads
-— and the measurement behind it is a story about *two* hot paths wanting
-opposite allocators.
+One lever lives here: glibc malloc tuning for array-churn workloads.
 
 The placer's iteration loop allocates and frees the same multi-megabyte
 numpy temporaries (assembly value buffers, CG scratch) every iteration;
@@ -12,17 +10,15 @@ to 1 GiB ("never mmap, never trim") — on the ``large`` bench this keeps
 the determinism repeat at ~10 s where a 128 KiB-pinned threshold costs
 ~16 s of page-fault tax.
 
-The legalizer's move evaluator is the opposite: its stacked-pin blocks
-ran **4x slower** (improve 12.2 s vs 2.9 s) when served from the adapted
-multi-gigabyte arena instead of fresh mappings.  And glibc drifts there
-on its own: the default threshold is *dynamic* — every ``munmap`` of a
-large block raises it — so a multi-size bench sweep lands the improver on
-the slow heap path by its third size even with no explicit tuning.
-:func:`improver_alloc_scope` therefore pins the threshold back to the
-128 KiB default around the improve stage and restores heap mode on exit.
+The improver needs no mode of its own.  It prices moves from cached net
+extremes (:mod:`repro.legalize.extents`) and allocates no per-round
+blocks the size of the affected nets' pins; with and without a 128 KiB
+threshold pinned around it, each size's ``improve`` phase of ``repro
+bench --sizes tiny,small,medium,large`` stayed within the run-to-run
+spread (four alternating pairs, 2-core VM; ``docs/PERFORMANCE.md``).
 
-Both knobs honor ``REPRO_NO_MALLOC_TUNE=1`` (leaving glibc fully
-adaptive), are no-ops off Linux/glibc, and never change any computed
+The knob honors ``REPRO_NO_MALLOC_TUNE=1`` (leaving glibc fully
+adaptive), is a no-op off Linux/glibc, and never changes any computed
 value — allocator placement does not affect float arithmetic, so
 determinism hashes are unaffected.
 """
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
 
 # glibc mallopt parameter numbers (bits/mman.h is not exposed by ctypes).
 _M_TRIM_THRESHOLD = -1
@@ -39,16 +34,6 @@ _M_MMAP_THRESHOLD = -3
 
 #: 1 GiB: effectively "never mmap, never trim" — the placer-loop mode.
 _HEAP_THRESHOLD_BYTES = 1 << 30
-
-#: glibc's default mmap threshold — the improver mode; pinning it also
-#: disables the dynamic upward drift.
-_MMAP_THRESHOLD_BYTES = 128 * 1024
-
-#: Above this many cells the improver stays in heap mode: its stacked
-#: temporaries grow to hundreds of MB and re-faulting them from fresh
-#: mappings every pass costs more than fragmented-arena reuse (measured:
-#: mmap 4x faster at 100k cells, 2x slower at 1M).
-MMAP_SCOPE_MAX_CELLS = 300_000
 
 _tuned: bool = False
 _mallopt = None
@@ -93,31 +78,3 @@ def tune_allocator() -> bool:
     ok = mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD_BYTES) == 1 and ok
     _tuned = bool(ok)
     return _tuned
-
-
-@contextmanager
-def improver_alloc_scope(n_cells: int = 0):
-    """Serve large temporaries from mmap for the duration of the scope.
-
-    Wraps the legalizer's improve stage (see ``legalize/__init__.py``):
-    pins ``M_MMAP_THRESHOLD`` to the 128 KiB default on entry and
-    restores the 1 GiB heap mode on exit.  Entering the scope implies
-    :func:`tune_allocator` (the exit state must be well-defined); when
-    tuning is unavailable or opted out the scope is a plain no-op.
-
-    ``n_cells`` sizes the decision: above :data:`MMAP_SCOPE_MAX_CELLS`
-    the scope stays in heap mode (see that constant for the measured
-    crossover); 0 means "unknown, assume small".
-    """
-    mallopt = _libc_mallopt()
-    active = (
-        n_cells <= MMAP_SCOPE_MAX_CELLS
-        and mallopt is not None
-        and tune_allocator()
-        and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
-    )
-    try:
-        yield
-    finally:
-        if active:
-            mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD_BYTES)

@@ -15,6 +15,8 @@ about processes and time; placement results stay bit-identical.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -104,16 +106,60 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, data: Optional[Dict[str, Any]]) -> "RetryPolicy":
+        """The policy of a JSON ``retry`` object; a wrongly typed field
+        raises ``ValueError`` naming it."""
         if not data:
             return cls()
+        retry_on = data.get("retry_on", list(cls.retry_on))
+        if not isinstance(retry_on, (list, tuple)) or not all(
+            isinstance(name, str) for name in retry_on
+        ):
+            raise ValueError(
+                "job spec field 'retry.retry_on' must be a list of strings, "
+                f"not {retry_on!r}"
+            )
         return cls(
-            max_attempts=int(data.get("max_attempts", 3)),
-            retry_on=tuple(
-                data.get("retry_on", ("worker_death", "timeout", "numerical"))
+            max_attempts=_spec_int(data, "max_attempts", 3, "retry."),
+            retry_on=tuple(retry_on),
+            backoff_base_s=_spec_number(
+                data, "backoff_base_s", 0.05, "retry.", zero=True
             ),
-            backoff_base_s=float(data.get("backoff_base_s", 0.05)),
-            backoff_cap_s=float(data.get("backoff_cap_s", 2.0)),
+            backoff_cap_s=_spec_number(
+                data, "backoff_cap_s", 2.0, "retry.", zero=True
+            ),
         )
+
+
+def _spec_value(spec: Dict[str, Any], key: str, default: Any, kinds,
+                what: str, prefix: str = "") -> Any:
+    """``spec[key]`` (or *default*) if it is one of *kinds*; else a
+    ``ValueError`` naming the field.  A bool is never an int here."""
+    value = spec.get(key, default)
+    if not isinstance(value, kinds) or (
+        isinstance(value, bool) and bool not in kinds
+    ):
+        raise ValueError(
+            f"job spec field {prefix + key!r} must be {what}, not "
+            f"{type(value).__name__} {value!r}"
+        )
+    return value
+
+
+def _spec_int(spec, key, default, prefix=""):
+    return int(_spec_value(
+        spec, key, default, (numbers.Integral,), "an integer", prefix
+    ))
+
+
+def _spec_number(spec, key, default, prefix="", zero=False):
+    """A finite number above zero (or at least zero, with *zero*)."""
+    value = _spec_value(spec, key, default, (numbers.Real,), "a number", prefix)
+    if not math.isfinite(value) or value < 0 or (value == 0 and not zero):
+        raise ValueError(
+            f"job spec field {prefix + key!r} must be finite and "
+            f"{'non-negative' if zero else 'positive'}, not {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -143,8 +189,13 @@ class ServiceJob:
         the way a wire client ships a live :class:`Netlist` that has no
         name resolvable server-side.  It wins over ``source``, and it is
         parsed through the design memo: resubmitting a design the server
-        still holds costs a hash, not a parse.
+        still holds costs a hash, not a parse.  A wrongly typed field
+        raises ``ValueError`` naming it.
         """
+        if not isinstance(spec, dict):
+            raise ValueError(
+                f"a job spec is a JSON object, not {type(spec).__name__}"
+            )
         known = {
             "id", "source", "netlist_text", "seed", "config", "name",
             "legalize", "max_iterations", "scale", "utilization",
@@ -159,33 +210,61 @@ class ServiceJob:
             )
         if "source" not in spec and "netlist_text" not in spec:
             raise ValueError("job spec needs a 'source' or 'netlist_text'")
+        # Every field is type-checked here, so a wrongly typed one is
+        # refused at submit instead of failing later in the supervisor or
+        # a worker (a string timeout would stop the supervisor thread).
+        for key in ("id", "name", "tenant", "source"):
+            if key in spec:
+                _spec_value(spec, key, None, (str,), "a string")
+        for key in ("config", "retry"):
+            _spec_value(spec, key, None, (dict, type(None)),
+                        "an object or null")
+        faults = spec.get("inject_faults", [])
+        if not isinstance(faults, (list, tuple)) or not all(
+            isinstance(hook, (list, tuple)) and len(hook) == 2
+            and isinstance(hook[0], str) and isinstance(hook[1], dict)
+            for hook in faults
+        ):
+            raise ValueError(
+                "job spec field 'inject_faults' must be a list of "
+                f"[site, kwargs] pairs, not {faults!r}"
+            )
+        max_iterations = (
+            _spec_int(spec, "max_iterations", None)
+            if "max_iterations" in spec else None
+        )
+        timeout = (
+            _spec_number(spec, "timeout_seconds", None)
+            if "timeout_seconds" in spec else None
+        )
         if spec.get("netlist_text") is not None:
             from ..netlist.io import netlist_from_string
 
-            source: Any = netlist_from_string(spec["netlist_text"])
+            source: Any = netlist_from_string(
+                _spec_value(spec, "netlist_text", None, (str,), "a string")
+            )
         else:
             source = spec["source"]
         job = PlacementJob(
             source=source,
-            seed=int(spec.get("seed", 0)),
+            seed=_spec_int(spec, "seed", 0),
             config=spec.get("config"),
             name=spec.get("name") or job_id,
-            legalize=bool(spec.get("legalize", True)),
-            max_iterations=spec.get("max_iterations"),
-            scale=float(spec.get("scale", 0.2)),
-            utilization=float(spec.get("utilization", 0.8)),
+            legalize=_spec_value(spec, "legalize", True, (bool,), "a bool"),
+            max_iterations=max_iterations,
+            scale=float(_spec_number(spec, "scale", 0.2)),
+            utilization=float(_spec_number(spec, "utilization", 0.8)),
             inject_faults=tuple(
-                (site, dict(kwargs))
-                for site, kwargs in spec.get("inject_faults", ())
+                (site, dict(kwargs)) for site, kwargs in faults
             ),
         )
         retry = spec.get("retry")
         return cls(
             job=job,
             job_id=job_id,
-            priority=int(spec.get("priority", 0)),
-            tenant=str(spec.get("tenant", "default")),
-            timeout_seconds=spec.get("timeout_seconds"),
+            priority=_spec_int(spec, "priority", 0),
+            tenant=spec.get("tenant", "default"),
+            timeout_seconds=timeout,
             retry=RetryPolicy.from_dict(retry) if retry is not None else None,
         )
 

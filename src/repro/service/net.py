@@ -420,7 +420,7 @@ class PlacementServer:
         for field in ("id", "name"):
             if spec.get(field) is not None:
                 _file_stem(field, str(spec[field]))
-        job_id = str(spec.pop("id", None) or self._next_job_id(conn.tenant))
+        job_id = str(spec.get("id") or self._next_job_id(conn.tenant))
         job = ServiceJob.from_spec(spec, job_id=job_id)
         # The connection's auth token is the tenant; a spec cannot claim
         # another tenant's quota.

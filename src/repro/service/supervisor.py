@@ -883,7 +883,7 @@ def serve_jobs(
                 client.submit(job)
             else:  # a JSON job-spec dict (the ``repro serve --jobs`` format)
                 spec = dict(job)
-                job_id = str(spec.pop("id", None) or f"j{index + 1:05d}")
+                job_id = str(spec.get("id") or f"j{index + 1:05d}")
                 client.submit(ServiceJob.from_spec(spec, job_id=job_id))
         if chaos is not None:
             chaos(client.service)

@@ -11,10 +11,12 @@ Every pool worker imports it; names resolve on first use (see
 :func:`~repro.testing.legal.assert_legal` that every legalizer test calls,
 so "legal" means exactly one thing across the whole suite.
 
-:mod:`repro.testing.oracles` holds the reference forms of two production
+:mod:`repro.testing.oracles` holds the reference forms of three production
 stages, used only to pin the fast engines: :func:`force_field_direct`, the
-literal Eq. 9 sum behind the FFT field, and :class:`AbacusLegalizer`, the
-scalar Abacus the vectorized snap must match bit for bit.
+literal Eq. 9 sum behind the FFT field, :class:`AbacusLegalizer`, the
+scalar Abacus the vectorized snap must match bit for bit, and
+:class:`PinGatheringEvaluator`, the pin-reading move pricing the improver's
+cached-extreme pricing must match bit for bit.
 """
 
 from .._lazy import lazy_exports
@@ -38,5 +40,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "slow_start",
     ),
     ".legal": ("assert_legal",),
-    ".oracles": ("AbacusLegalizer", "force_field_direct"),
+    ".oracles": (
+        "AbacusLegalizer", "PinGatheringEvaluator", "force_field_direct",
+    ),
 })

@@ -14,6 +14,10 @@ tests can pin the fast engine to it:
   within a segment.  :class:`~repro.legalize.vector.VectorAbacusLegalizer`
   must reproduce its positions bit for bit, with and without obstacles
   (``tests/test_legalize_vector.py``).
+* :class:`PinGatheringEvaluator` — HPWL deltas and exclusive extents by
+  gathering every pin of every affected net and reducing per (move, net).
+  :class:`~repro.legalize.extents.MoveEvaluator` (cached net extremes)
+  must give the same floats bit for bit (``tests/test_legalize_vector.py``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from ..core.density import DensityResult
 from ..core.poisson import ForceField
 from ..geometry import PlacementRegion, Rect
+from ..legalize.extents import _segment_gather
 from ..legalize.segments import Segment, build_segments
 from ..legalize.vector import LegalizationResult
 from ..netlist import CellKind, Placement
@@ -248,3 +253,139 @@ class AbacusLegalizer:
             max_displacement=float(moved[movable].max()) if movable.size else 0.0,
             failed_cells=failed,
         )
+
+
+# ----------------------------------------------------------------------
+# Pin-gathering move pricing
+# ----------------------------------------------------------------------
+class PinGatheringEvaluator:
+    """Exact HPWL deltas by re-reading every pin of every affected net."""
+
+    def __init__(self, netlist):
+        self.net_start = netlist.net_ptr
+        self.pin_cell = netlist.pin_cell
+        self.pin_dx = netlist.pin_dx
+        self.pin_dy = netlist.pin_dy
+        self.degree = netlist.net_degree
+        num_nets = len(self.degree)
+        net_of_pin = np.repeat(np.arange(num_nets, dtype=np.int64), self.degree)
+        # Unique (cell, net) incidence pairs in (cell, net) order -> CSR
+        # over cells.
+        order = np.lexsort((net_of_pin, self.pin_cell))
+        c_sorted = self.pin_cell[order]
+        n_sorted = net_of_pin[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (c_sorted[1:] != c_sorted[:-1]) | (n_sorted[1:] != n_sorted[:-1])
+        self.inc_cell = c_sorted[first]
+        self.inc_net = n_sorted[first]
+        self.cell_ptr = np.searchsorted(
+            self.inc_cell, np.arange(netlist.num_cells + 1)
+        )
+
+    def exclusive_x(
+        self, x: np.ndarray, cells: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per (cell, net) incidence of ``cells``: the net's min/max pin x
+        over other cells' pins (``+inf``/``-inf`` if none), and the cell."""
+        cnt = self.cell_ptr[cells + 1] - self.cell_ptr[cells]
+        inc_idx = _segment_gather(self.cell_ptr[cells], cnt)
+        inc_cell = self.inc_cell[inc_idx]
+        inc_net = self.inc_net[inc_idx]
+        if not inc_idx.size:
+            return np.zeros(0), np.zeros(0), inc_cell
+        nets = np.unique(inc_net)
+        deg = self.degree[nets]
+        flat = _segment_gather(self.net_start[nets], deg)
+        ends = np.cumsum(deg)
+        seg = ends - deg
+        seg_end = ends - 1
+        cell_f = self.pin_cell[flat]
+        px = x[cell_f] + self.pin_dx[flat]
+        net_key = np.repeat(np.arange(len(nets), dtype=np.int64), deg)
+        order = np.lexsort((px, net_key))
+        px_s = px[order]
+        cell_s = cell_f[order]
+        # Smallest pin and the smallest pin of any *other* cell.
+        min1 = px_s[seg]
+        min1_cell = cell_s[seg]
+        other = cell_s != np.repeat(min1_cell, deg)
+        min2 = np.minimum.reduceat(np.where(other, px_s, np.inf), seg)
+        # Largest pin and the largest pin of any other cell.
+        max1 = px_s[seg_end]
+        max1_cell = cell_s[seg_end]
+        other_hi = cell_s != np.repeat(max1_cell, deg)
+        max2 = np.maximum.reduceat(np.where(other_hi, px_s, -np.inf), seg)
+        n = np.searchsorted(nets, inc_net)
+        excl_min = np.where(inc_cell != min1_cell[n], min1[n], min2[n])
+        excl_max = np.where(inc_cell != max1_cell[n], max1[n], max2[n])
+        return excl_min, excl_max, inc_cell
+
+    def deltas(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        cell_a: np.ndarray,
+        new_ax: np.ndarray,
+        new_ay: np.ndarray,
+        cell_b: np.ndarray = None,
+        new_bx: np.ndarray = None,
+        new_by: np.ndarray = None,
+        x_only: bool = False,
+    ) -> np.ndarray:
+        """Exact HPWL delta (um) of each candidate move (the arguments of
+        :meth:`repro.legalize.extents.MoveEvaluator.deltas`, plus the
+        coordinates)."""
+        nmoves = len(cell_a)
+        if nmoves == 0:
+            return np.zeros(0)
+        # (move, net) pairs: nets of a (plus nets of b), deduped per move.
+        cnt_a = self.cell_ptr[cell_a + 1] - self.cell_ptr[cell_a]
+        idx_a = _segment_gather(self.cell_ptr[cell_a], cnt_a)
+        move_of = np.repeat(np.arange(nmoves, dtype=np.int64), cnt_a)
+        nets = self.inc_net[idx_a]
+        num_nets = len(self.degree)
+        if cell_b is not None:
+            cnt_b = self.cell_ptr[cell_b + 1] - self.cell_ptr[cell_b]
+            idx_b = _segment_gather(self.cell_ptr[cell_b], cnt_b)
+            move_of = np.concatenate(
+                (move_of, np.repeat(np.arange(nmoves, dtype=np.int64), cnt_b))
+            )
+            nets = np.concatenate((nets, self.inc_net[idx_b]))
+            pair_key = np.unique(move_of * num_nets + nets)
+            pair_move = pair_key // num_nets
+            pair_net = pair_key % num_nets
+        else:
+            pair_move = move_of
+            pair_net = nets
+        if not pair_net.size:
+            return np.zeros(nmoves)
+
+        # Gather every affected net's pins, one flat segment per pair.
+        cnt = self.degree[pair_net]
+        flat = _segment_gather(self.net_start[pair_net], cnt)
+        fmove = np.repeat(pair_move, cnt)
+        fcell = self.pin_cell[flat]
+        fdx = self.pin_dx[flat]
+        px_old = x[fcell] + fdx
+        seg = np.concatenate(([0], np.cumsum(cnt)[:-1]))
+        is_a = fcell == cell_a[fmove]
+        px = np.where(is_a, new_ax[fmove] + fdx, px_old)
+        if cell_b is not None:
+            is_b = fcell == cell_b[fmove]
+            px = np.where(is_b, new_bx[fmove] + fdx, px)
+        blocks = [px_old, px]
+        if not x_only:
+            fdy = self.pin_dy[flat]
+            py_old = y[fcell] + fdy
+            py = np.where(is_a, new_ay[fmove] + fdy, py_old)
+            if cell_b is not None:
+                py = np.where(is_b, new_by[fmove] + fdy, py)
+            blocks += [py_old, py]
+        ext = [
+            np.maximum.reduceat(b, seg) - np.minimum.reduceat(b, seg)
+            for b in blocks
+        ]
+        pair_delta = ext[1] - ext[0]
+        if not x_only:
+            pair_delta = pair_delta + (ext[3] - ext[2])
+        return np.bincount(pair_move, weights=pair_delta, minlength=nmoves)

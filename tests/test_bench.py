@@ -204,25 +204,6 @@ class TestAllocatorTuning:
         monkeypatch.setattr(perf, "_tuned", True)
         assert perf.tune_allocator() is True
 
-    def test_improver_scope_is_noop_when_opted_out(self, monkeypatch):
-        from repro import perf
-
-        monkeypatch.setenv("REPRO_NO_MALLOC_TUNE", "1")
-        monkeypatch.setattr(perf, "_tuned", False)
-        monkeypatch.setattr(perf, "_mallopt", None)
-        with perf.improver_alloc_scope():
-            assert perf._tuned is False
-
-    def test_improver_scope_stays_in_heap_mode_at_scale(self, monkeypatch):
-        from repro import perf
-
-        def boom():
-            raise AssertionError("mmap pin must not engage above crossover")
-
-        monkeypatch.setattr(perf, "tune_allocator", boom)
-        with perf.improver_alloc_scope(perf.MMAP_SCOPE_MAX_CELLS + 1):
-            pass
-
 
 class TestPhaseShares:
     """Per-phase wall-time shares, top_phase, and the >40 % bottleneck flag."""

@@ -8,7 +8,11 @@ Two layers of pinning:
   catches a bad regeneration at commit time;
 - the cheap sizes (tiny, small) are re-placed live and must reproduce the
   committed determinism hashes bit for bit — catches an algorithm drift
-  that forgot to regenerate the report.
+  that forgot to regenerate the report;
+- tiny, small and medium are placed and legalized live and must reproduce
+  pinned hashes of the legalized placement (and small's and medium's the
+  committed legal HPWL exactly) — catches a drift in the final-placement
+  stage, which the determinism hash does not cover.
 
 When an intentional algorithm change shifts these numbers, regenerate via
 ``python -m repro bench --sizes tiny,small,medium,large,huge`` and commit
@@ -22,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.observability.bench import run_bench
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kraftwerk.json"
@@ -44,6 +49,14 @@ LARGE_TOTAL_BUDGET_S = 38.0
 #: harness costs, not flow costs; they are budgeted separately below.)
 HUGE_FLOW_BUDGET_S = 600.0
 HUGE_TOTAL_BUDGET_S = 1200.0
+
+#: ``repro.place(size, seed=0).positions_hash()``: the legalized (snapped
+#: and improved) placement of each cheap bench size.
+LEGALIZED_HASHES = {
+    "tiny": "744f2df27fffa9c82c55d601588b18092b4751748d4e22948448ebfc7fc3628a",
+    "small": "f103a17d0b9ea31583ccfef1bfa5ac111f9ccaae612e57eea1b917be5c7bdfd0",
+    "medium": "d539fa40775d6f8a08e5a428a39ff5409852aa6a722f4e50e870e2b91313c2db",
+}
 
 pytestmark = pytest.mark.bench
 
@@ -175,3 +188,14 @@ class TestLiveHashesMatchGolden:
         assert live["final_hpwl_m"] == pytest.approx(
             golden["final_hpwl_m"], rel=1e-12
         )
+
+    @pytest.mark.parametrize("size", ["tiny", "small", "medium"])
+    def test_legalized_placement_pinned(self, report, size):
+        """The whole flow, improver included, bit for bit: the bench hash
+        covers only the global placement."""
+        flow = repro.place(size, seed=0)
+        assert flow.positions_hash() == LEGALIZED_HASHES[size], (
+            f"{size} legalized placement drifted"
+        )
+        if size != "tiny":
+            assert flow.final_hpwl_m == _run(report, size)["final_hpwl_m"]

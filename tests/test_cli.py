@@ -315,6 +315,7 @@ class TestServeCLI:
             {"id": "ok", "source": "tiny", "seed": 0,
              "legalize": False, "max_iterations": 8},
             {"id": "typo", "source": "tiny", "sauce": 1},
+            5,
         ]
         rc = main([
             "serve", "--jobs", self._jobs_file(tmp_path, jobs),
@@ -323,6 +324,7 @@ class TestServeCLI:
         assert rc == 1
         err = capsys.readouterr().err
         assert "rejected typo" in err and "unknown job-spec keys" in err
+        assert "rejected j00003: a job spec is a JSON object, not int" in err
 
 
 class TestSubmitWire:

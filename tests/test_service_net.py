@@ -10,6 +10,7 @@ that vanishes mid-stream leaks nothing — no broker subscription, no
 blocked worker.
 """
 
+import itertools
 import socket
 import struct
 import threading
@@ -274,6 +275,55 @@ def requests(draw):
     return frame
 
 
+#: A submit spec that places quickly, and wrongly typed values for each
+#: field a spec may carry over the wire (JSON types the field is not, and
+#: numbers that are not finite and positive).
+GOOD_SPEC = {"source": "tiny", "legalize": False, "max_iterations": 2}
+_LISTS = st.lists(st.integers(), max_size=2)
+_STRING = st.integers() | st.floats() | st.booleans() | st.none() | _LISTS
+_INTEGER = st.floats() | st.booleans() | st.text(max_size=4) | st.none()
+_NUMBER = (
+    st.text(max_size=4) | st.booleans() | st.none() | _LISTS
+    | st.sampled_from([0, -1, -0.5, float("nan"), float("inf")])
+)
+_OBJECT = st.integers() | st.text(max_size=4) | _LISTS
+WRONG_TYPES = {
+    "id": _STRING,
+    "name": _STRING,
+    "tenant": _STRING,
+    "source": _STRING,
+    "seed": _INTEGER,
+    "priority": _INTEGER,
+    "max_iterations": _INTEGER,
+    "legalize": st.integers() | st.text(max_size=4) | st.none(),
+    "scale": _NUMBER,
+    "utilization": _NUMBER,
+    "timeout_seconds": _NUMBER,
+    "config": _OBJECT,
+    "retry": _OBJECT,
+}
+
+
+@st.composite
+def wrongly_typed_specs(draw):
+    field = draw(st.sampled_from(sorted(WRONG_TYPES)))
+    return field, {**GOOD_SPEC, field: draw(WRONG_TYPES[field])}
+
+
+@pytest.fixture(scope="module")
+def typed_server():
+    """A server that runs jobs, and the exceptions that reached
+    ``threading.excepthook`` while it ran."""
+    errors = []
+    previous = threading.excepthook
+    threading.excepthook = lambda args: errors.append(args.exc_value)
+    try:
+        with PlacementServer(service_config=service_config()) as srv:
+            yield srv, errors
+    finally:
+        threading.excepthook = previous
+
+
 class TestBadFrames:
     @pytest.mark.parametrize("body", BAD_BODIES.values(), ids=list(BAD_BODIES))
     def test_bad_body_gets_error_and_connection_survives(
@@ -344,6 +394,56 @@ class TestBadFrames:
         finally:
             sock.close()
         assert errors == []
+
+    # Fresh seeds, so each follow-up submit runs (no result-cache hit).
+    seeds = itertools.count(1000)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=wrongly_typed_specs())
+    def test_wrongly_typed_field_is_refused_and_service_lives(
+        self, typed_server, case
+    ):
+        """Each wrongly typed field gets ``error`` naming it; nothing is
+        counted, no server thread dies, and the next submit on the
+        connection runs to its result."""
+        field, spec = case
+        server, errors = typed_server
+        sock = raw_connect(server.address, token="typed")
+        try:
+            before = server.service.report()["n_submitted"]
+            send_frame(sock, {"type": "submit", "spec": spec})
+            reply = recv_frame(sock)
+            assert reply["type"] == "error", (field, reply)
+            assert repr(field) in reply["error"]
+            assert server.service.report()["n_submitted"] == before
+            send_frame(sock, {"type": "submit", "spec": {
+                **GOOD_SPEC, "seed": next(self.seeds),
+            }})
+            submitted = recv_frame(sock)
+            assert submitted["type"] == "submitted"
+            send_frame(sock, {"type": "result", "job": submitted["job"]})
+            reply = recv_frame(sock)
+            while reply["type"] != "result":
+                reply = recv_frame(sock)
+            assert reply["state"] == "done"
+        finally:
+            sock.close()
+        assert errors == []
+
+    def test_to_spec_output_passes(self):
+        """The type checks refuse nothing a client writes: every field a
+        spec can carry round-trips through ``to_spec``."""
+        from repro.service import ServiceJob
+
+        job = ServiceJob.from_spec({
+            "id": "j1", "source": "tiny", "seed": 7, "name": "n",
+            "legalize": False, "max_iterations": 8, "scale": 0.3,
+            "utilization": 0.7, "priority": -2, "tenant": "t",
+            "timeout_seconds": 5, "config": {"K": 0.2},
+            "retry": {"max_attempts": 1, "retry_on": ["timeout"],
+                      "backoff_base_s": 0, "backoff_cap_s": 1.5},
+        }, job_id="j1")
+        assert ServiceJob.from_spec(job.to_spec(), job_id="j1") == job
 
 
 class TestSubmitRejects:
